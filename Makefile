@@ -26,9 +26,12 @@ lint-json:
 
 # Full-tree race detector pass (~2 minutes; the crosscheck and ftparallel
 # simulations dominate). Fixtures under testdata are not packages, so ./...
-# never compiles them.
+# never compiles them. The second pass repeats the packages that share the
+# immutable survivor-set decoder table across goroutines (erasure, multistep,
+# ftparallel; ~6 minutes) so a lazily written cache cannot slip back in.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/erasure ./internal/multistep ./internal/ftparallel
 
 vet:
 	$(GO) vet ./...

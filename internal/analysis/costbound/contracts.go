@@ -324,11 +324,6 @@ func (d *deriver) funcContract(pkgName, name string, args []val, call *ast.CallE
 			}
 			return sliceVal(elems), true
 		}
-	case "ftparallel":
-		// gcd64's Euclid loop is data-dependent; both are pure int helpers.
-		if name == "gcd64" || name == "lcm64" {
-			return unknownNum(), true
-		}
 	case "fmt":
 		switch name {
 		case "Sprintf", "Sprint":

@@ -17,10 +17,10 @@ package framework
 //     dst/src positions of a destination-reuse nat kernel? natalias checks
 //     aliasing through such wrappers.
 //   - recovery paths: can the callee return an erasure/softfault error or
-//     erasure-index result (erasure.Decode, softfault.Correct/Verify,
-//     transitively), does it handle fault events, does it spawn raw
-//     goroutines or allocate from a caller-held arena? recoverpath composes
-//     these into the Section-4 recovery invariants.
+//     erasure-index result (erasure.Decode, erasure.Minor.Apply,
+//     softfault.Correct/Verify, transitively), does it handle fault events,
+//     does it spawn raw goroutines or allocate from a caller-held arena?
+//     recoverpath composes these into the Section-4 recovery invariants.
 //
 // Ownership effects are computed by running the existing CFG + dataflow
 // protocol machinery once per tracked parameter with the boundary state
@@ -107,10 +107,12 @@ var chargePrimitives = map[string]map[string]bool{
 var chargeCarrierTypes = map[string]bool{"Stats": true, "Proc": true, "Machine": true, "Endpoint": true}
 
 // recoverySources lists the decode/verify entry points of the fault
-// recovery machinery, per receiver type name.
+// recovery machinery, per receiver type name; Minor.Apply is the shared
+// decoder the engine's column decode ends in.
 var recoverySources = map[string]map[string]bool{
 	"Code":      {"Decode": true},
 	"Corrector": {"Correct": true, "Verify": true},
+	"Minor":     {"Apply": true},
 }
 
 // Summary is one function's interprocedural summary.
@@ -131,11 +133,12 @@ type Summary struct {
 	ChargeCarrier bool
 
 	// RecoverySource: the function is one of the decode/verify entry points
-	// (erasure.Decode, softfault.Correct/Verify) by name. RecoveryErr: the
-	// function has an error result and reaches a recovery source, so its
-	// error may report an undecodable erasure. ReachesRecovery: some call
-	// path reaches a recovery source. HandlesFaults: a parameter carries
-	// fault events (type name FaultEvent), marking the recovery handlers.
+	// (erasure.Decode, erasure.Minor.Apply, softfault.Correct/Verify) by
+	// name. RecoveryErr: the function has an error result and reaches a
+	// recovery source, so its error may report an undecodable erasure.
+	// ReachesRecovery: some call path reaches a recovery source.
+	// HandlesFaults: a parameter carries fault events (type name
+	// FaultEvent), marking the recovery handlers.
 	RecoverySource  bool
 	RecoveryErr     bool
 	ReachesRecovery bool

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bigint"
 	"repro/internal/erasure"
-	"repro/internal/mat"
 	"repro/internal/points"
 	"repro/internal/rat"
 	"repro/internal/toom"
@@ -42,23 +41,17 @@ func nativeBridgedPkg(path string) bool {
 // else resolves through the result-typed fallback.
 var nativeRegistry = map[string]any{
 	"repro/internal/erasure.New":                   erasure.New,
-	"repro/internal/mat.New":                       mat.New,
 	"repro/internal/points.EvalMatrix":             points.EvalMatrix,
 	"repro/internal/points.Finite":                 points.Finite,
 	"repro/internal/points.FiniteInt64":            points.FiniteInt64,
 	"repro/internal/points.Infinity":               points.Infinity,
-	"repro/internal/points.Interpolation":          points.Interpolation,
 	"repro/internal/points.Standard":               points.Standard,
 	"repro/internal/points.StandardWithRedundancy": points.StandardWithRedundancy,
-	"repro/internal/points.Valid":                  points.Valid,
-	"repro/internal/rat.FromInt64":                 rat.FromInt64,
 	"repro/internal/rat.One":                       rat.One,
-	"repro/internal/rat.Zero":                      rat.Zero,
 	"repro/internal/toom.IntRows":                  toom.IntRows,
 	"repro/internal/toom.MustNew":                  toom.MustNew,
 	"repro/internal/toom.New":                      toom.New,
 	"repro/internal/toom.NewWithPoints":            toom.NewWithPoints,
-	"repro/internal/toom.ScaledRows":               toom.ScaledRows,
 }
 
 var bigintType = reflect.TypeOf(bigint.Int{})

@@ -12,9 +12,10 @@ package protomc
 //     instantiated exactly the way ftparallel.Multiply builds it (P=3, k=2,
 //     F=1: a 1x3 worker grid, one linear-code row, one polynomial-code
 //     processor — 7 ranks), for ldfs 0 and 1, plus the straggler-dropping
-//     variant. Construction runs through the host interpreter (NewLayout,
-//     computeDenLCM) and the native arithmetic bridge so the instantiated
-//     engine matches the real constructor bit for bit.
+//     variant. Construction runs through the host interpreter (NewLayout)
+//     and the native arithmetic bridge (points, matrices, the erasure code
+//     and the interpolation table) so the instantiated engine matches the
+//     real constructor bit for bit.
 //
 // Fault plans are not chosen here: the checker's first (fault-free) run
 // records every (proc, phase, hit) barrier crossing, and the analyzer
@@ -320,13 +321,13 @@ func engineWorlds(pass *framework.Pass, sums *framework.Summaries, skels *framew
 
 // toomPkg is the package whose Workload instantiation loads the engine
 // worlds: the engine itself lives in pkg (ftengine), the workload methods
-// and the denominator-LCM constructor in the Toom tier.
+// in the Toom tier.
 const toomPkg = "repro/internal/ftparallel"
 
 // buildEngineWorld mirrors ftparallel.Multiply's construction for
-// P=3, k=2, F=1 and the variant's DFS depth: layout and denominator LCM via
-// the host interpreter, algorithm/points/matrices/code via the native
-// bridge, operand digit shares as opaque vectors in the plan's cyclic
+// P=3, k=2, F=1 and the variant's DFS depth: layout via the host
+// interpreter, algorithm/points/matrices/code/interpolation table via the
+// native bridge, operand digit shares as opaque vectors in the plan's cyclic
 // layout. The entry is the generic engine's per-rank body with the Toom
 // workload behind its Workload interface — the same seam the production
 // Run crosses — so the model exercises the devirtualized dispatch too.
@@ -366,10 +367,19 @@ func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.Sk
 		return nil, err
 	}
 	pts := points.StandardWithRedundancy(k, f)
-	if err := points.Valid(pts, 2*k-1); err != nil {
+	uExt, err := toom.IntRows(points.EvalMatrix(pts, k))
+	if err != nil {
 		return nil, err
 	}
-	uExt, err := toom.IntRows(points.EvalMatrix(pts, k))
+	gen, err := toom.IntRows(points.EvalMatrix(pts, 2*k-1))
+	if err != nil {
+		return nil, err
+	}
+	table, err := erasure.NewTable(gen)
+	if err != nil {
+		return nil, err
+	}
+	denLCM, err := table.DenLCM()
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +421,6 @@ func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.Sk
 		"lay":            lay,
 		"plan":           plan,
 		"alg":            NativeVal{V: alg},
-		"pts":            fromNative(reflect.ValueOf(pts), runNode.Decl.Pos()),
 		"uExt":           fromNative(reflect.ValueOf(uExt), runNode.Decl.Pos()),
 		"ldfs":           knownInt(int64(v.ldfs)),
 		"levels":         knownInt(int64(levels)),
@@ -419,16 +428,9 @@ func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.Sk
 		"digits":         knownInt(int64(digits)),
 		"dropStragglers": knownBool(v.straggler),
 		"slack":          FloatVal{Known: true, V: 5},
-		"wCache":         newMap(),
-		"denLCM":         knownInt(0),
+		"interp":         NativeVal{V: table},
+		"denLCM":         knownInt(denLCM),
 	}}
-	lcmOut, err := hostCall(sums, skels, toomPkg+".engine.computeDenLCM", eng, nil)
-	if err != nil {
-		return nil, err
-	}
-	if msg := hostErr(lcmOut); msg != "" {
-		return nil, fmt.Errorf("computeDenLCM: %s", msg)
-	}
 
 	// The Coder and exec mirror what NewCoder and Run build: the per-worker
 	// coded vector length and the per-processor product share length follow
@@ -454,9 +456,9 @@ func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.Sk
 	if v.straggler {
 		name += " straggler"
 	}
-	// The engine (and its warmed interpolation cache) is shared by all
-	// ranks and runs: the scheduler executes one processor at a time, and
-	// the real engine is likewise shared read-only across goroutines.
+	// The engine (and its interpolation table) is shared by all ranks and
+	// runs: the scheduler executes one processor at a time, and the real
+	// engine is likewise shared read-only across goroutines.
 	return &world{
 		name: name,
 		n:    int(total.V),

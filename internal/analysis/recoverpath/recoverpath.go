@@ -2,18 +2,19 @@
 // invariants end to end, using the interprocedural summaries of
 // framework/summary.go. Related fault-tolerance reproductions rot exactly
 // here: the happy path is exercised by every benchmark, while the recovery
-// path — an f-reduce over erasure.Decode / softfault.Correct whose error
-// and erasure-index results thread back through ftparallel — only runs when
-// faults are injected.
+// path — an f-reduce over erasure.Decode / Minor.Apply / softfault.Correct
+// whose error and erasure-index results thread back through ftparallel —
+// only runs when faults are injected.
 //
 // Two rules:
 //
 //  1. Recovery results must be checked. Any call whose callee can,
 //     transitively, return an erasure/soft-fault error (erasure.Decode,
-//     softfault.Correct, softfault.Verify, or any function with an error
-//     result that reaches one) must not discard that error: not with a
-//     blank `_` in the assignment, not by dropping the results entirely
-//     (expression statement), and not by launching the call via go/defer.
+//     erasure.Minor.Apply, softfault.Correct, softfault.Verify, or any
+//     function with an error result that reaches one) must not discard
+//     that error: not with a blank `_` in the assignment, not by dropping
+//     the results entirely (expression statement), and not by launching
+//     the call via go/defer.
 //     An unchecked Decode error turns an undecodable erasure into silently
 //     wrong products.
 //
@@ -28,8 +29,8 @@
 //     scratch could be handed to the next renter mid-repair; composes the
 //     poolspawn and arenasafe ownership facts).
 //
-// Matching is by name (types named Code/Corrector/FaultEvent/arena), so the
-// analyzer covers the real tree and import-free fixtures alike.
+// Matching is by name (types named Code/Minor/Corrector/FaultEvent/arena),
+// so the analyzer covers the real tree and import-free fixtures alike.
 package recoverpath
 
 import (
@@ -41,7 +42,7 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "recoverpath",
-	Doc:  "recovery results (erasure.Decode, softfault.Correct/Verify errors) must be checked, and fault-recovery handlers must not spawn raw goroutines or allocate from caller-held arenas",
+	Doc:  "recovery results (erasure.Decode, erasure.Minor.Apply, softfault.Correct/Verify errors) must be checked, and fault-recovery handlers must not spawn raw goroutines or allocate from caller-held arenas",
 	Run:  run,
 }
 
@@ -83,10 +84,11 @@ func checkDiscards(pass *framework.Pass, fd *ast.FuncDecl) {
 				pass.Reportf(n.Call.Pos(), "recovery call %s deferred: its error result is discarded and the erasure outcome is lost", sum.Name)
 			}
 		case *ast.AssignStmt:
-			// Single multi-value call on the right: the error is the last
-			// result, so the last LHS must not be blank.
+			// Single call on the right: the error is its last result (its
+			// only one for `_ = m.Apply(...)`), so the last LHS must not be
+			// blank.
 			if len(n.Rhs) == 1 {
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && len(n.Lhs) > 1 {
+				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 					if sum := recoveryCallee(pass, call); sum != nil {
 						if id, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
 							pass.Reportf(call.Pos(), "error from %s is discarded with _: an undecodable erasure would pass silently — recovery must check it", sum.Name)
@@ -95,8 +97,8 @@ func checkDiscards(pass *framework.Pass, fd *ast.FuncDecl) {
 				}
 				return true
 			}
-			// 1:1 assignments: a single-result recovery call (the error IS
-			// the result) assigned to blank.
+			// Parallel assignments: a single-result recovery call (the error
+			// IS the result) assigned to blank.
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Rhs {
 					call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)

@@ -1,7 +1,7 @@
 // Fixture for the recoverpath analyzer, named "ftparallel" so every
 // function is inside the fault-tolerance envelope (FTReach). Miniature
-// stand-ins for erasure.Code, softfault.Corrector, machine.FaultEvent, and
-// the bigint arena are matched by name.
+// stand-ins for erasure.Code, erasure.Minor, softfault.Corrector,
+// machine.FaultEvent, and the bigint arena are matched by name.
 package ftparallel
 
 type Int struct{ v int }
@@ -9,6 +9,12 @@ type Int struct{ v int }
 type Code struct{ r int }
 
 func (c *Code) Decode(m map[int][]Int) (map[int][]Int, error) { return m, nil }
+
+// Minor stands in for erasure.Minor, the survivor-set decoder every
+// recovery path ends in.
+type Minor struct{ den int }
+
+func (m *Minor) Apply(dst, res [][]Int) error { return nil }
 
 type Corrector struct{ t int }
 
@@ -59,6 +65,13 @@ func discardedDecode(c *Code, m map[int][]Int) map[int][]Int {
 func discardedViaHelper(c *Code, m map[int][]Int) map[int][]Int {
 	rec, _ := decodeVia(c, m) // want "discarded with _"
 	return rec
+}
+
+// discardedMinorApply trusts its residuals, as a column decode that skipped
+// the shared decoder's integrality verdict would.
+func discardedMinorApply(m *Minor, dst, res [][]Int) [][]Int {
+	_ = m.Apply(dst, res) // want "discarded with _"
+	return dst
 }
 
 // discardedCorrect drops the soft-fault correction error (and the erasure

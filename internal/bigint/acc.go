@@ -110,11 +110,22 @@ func (a *Acc) Shl(s uint) {
 // division is exact (mirroring Int.DivExactInt64: interpolation divides by
 // constants that provably divide, so a remainder is a logic error).
 func (a *Acc) DivExact(v int64) {
+	if !a.DivIfExact(v) {
+		panic(fmt.Sprintf("bigint: Acc.DivExact: value not divisible by %d", v))
+	}
+}
+
+// DivIfExact divides the accumulator by v in place and reports whether the
+// division was exact. After a false result the accumulator holds an
+// unspecified value and must be Reset. Decoders use it on data that may be
+// corrupted, where an inexact quotient is a finding rather than a logic
+// error.
+func (a *Acc) DivIfExact(v int64) bool {
 	if v == 0 {
 		panic("bigint: Acc.DivExact by zero")
 	}
 	if len(a.abs) == 0 {
-		return
+		return true
 	}
 	var u uint64
 	if v < 0 {
@@ -124,13 +135,11 @@ func (a *Acc) DivExact(v int64) {
 		u = uint64(v)
 	}
 	q, r := natDivWordTo(a.abs, a.abs, u)
-	if r != 0 {
-		panic(fmt.Sprintf("bigint: Acc.DivExact: value not divisible by %d", v))
-	}
 	a.abs = q
 	if len(q) == 0 {
 		a.neg = false
 	}
+	return r == 0
 }
 
 // Take returns the accumulated value as an immutable Int and resets the

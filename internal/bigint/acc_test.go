@@ -182,6 +182,23 @@ func TestAccRandomOps(t *testing.T) {
 	}
 }
 
+// TestAccDivIfExact checks the non-panicking division: an exact divisor
+// divides in place (sign included), and a remainder is reported.
+func TestAccDivIfExact(t *testing.T) {
+	acc := NewAcc()
+	defer acc.Release()
+	acc.Add(FromInt64(-42))
+	if !acc.DivIfExact(-6) {
+		t.Fatal("-42 / -6 reported inexact")
+	}
+	if v, _ := acc.Value().Int64(); v != 7 {
+		t.Fatalf("-42 / -6 = %d, want 7", v)
+	}
+	if acc.DivIfExact(3) {
+		t.Fatal("7 / 3 reported exact")
+	}
+}
+
 // TestAccTakeOwnership verifies that a taken Int is never mutated by later
 // use of the same (pooled) accumulator — the immutability contract Int
 // promises to the machine simulator.

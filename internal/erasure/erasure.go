@@ -6,7 +6,9 @@
 // the same column, using a (P/(2k-1)+f, P/(2k-1), f+1) code: code processor
 // i holds the weighted sum Σ_l η_i^l · data_l. Because the weights form a
 // Vandermonde matrix (every minor invertible), any f erasures can be decoded
-// by solving a small exact linear system over ℚ, whose solution is integral.
+// by one small exact solve, whose solution is integral. The solve applies a
+// precomputed inverse from the code's decoder Table (table.go), the same
+// survivor-set decoder the interpolation paths use.
 //
 // Code words here are vectors of big integers: each "letter" is one
 // processor's local share of an operand, and the linear combination is taken
@@ -29,6 +31,7 @@ type Code struct {
 	K, F  int
 	nodes []int64   // η_i, pairwise distinct
 	e     [][]int64 // F×K redundancy matrix, e[i][l] = η_i^l
+	table *Table    // decoding minors of (I_K ; E), keyed by survivor set
 }
 
 // New returns the systematic code with k data letters and f redundancy
@@ -48,21 +51,20 @@ func New(k, f int) (*Code, error) {
 	return NewWithNodes(k, nodes)
 }
 
-// NewWithNodes builds the code from explicit distinct Vandermonde nodes.
+// NewWithNodes builds the code from explicit Vandermonde nodes. Distinct
+// nodes are not enough: every square minor of E must be invertible (with
+// nodes {1, −1}, letters 0 and 2 get equal weights), so it rejects any node
+// set whose decoder table would hold a singular minor.
 func NewWithNodes(k int, nodes []int64) (*Code, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("erasure: need k >= 1 data letters, got %d", k)
 	}
-	seen := map[int64]bool{}
-	for _, n := range nodes {
-		if seen[n] {
-			return nil, fmt.Errorf("erasure: repeated node %d", n)
-		}
-		seen[n] = true
+	gen := make([][]int64, k, k+len(nodes))
+	for l := range gen {
+		gen[l] = make([]int64, k)
+		gen[l][l] = 1
 	}
-	f := len(nodes)
-	e := make([][]int64, f)
-	for i, eta := range nodes {
+	for _, eta := range nodes {
 		row := make([]int64, k)
 		v := int64(1)
 		for l := 0; l < k; l++ {
@@ -75,9 +77,13 @@ func NewWithNodes(k int, nodes []int64) (*Code, error) {
 				v = next
 			}
 		}
-		e[i] = row
+		gen = append(gen, row)
 	}
-	return &Code{K: k, F: f, nodes: append([]int64(nil), nodes...), e: e}, nil
+	table, err := newTable(gen, k)
+	if err != nil {
+		return nil, fmt.Errorf("erasure: nodes %v do not give an MDS code: %w", nodes, err)
+	}
+	return &Code{K: k, F: len(nodes), nodes: append([]int64(nil), nodes...), e: gen[k:], table: table}, nil
 }
 
 // N returns the code length K+F.
@@ -129,6 +135,25 @@ func (c *Code) Encode(data [][]bigint.Int) ([][]bigint.Int, error) {
 	return out, nil
 }
 
+// Minor returns the decoding minor that restores the erased data letters
+// from the given redundancy rows (both ascending, equal in number): unknown
+// v is letter erased[v], and residual i is redundancy letter rows[i] minus
+// the intact data letters' share of it.
+func (c *Code) Minor(rows, erased []int) (*Minor, error) {
+	surv := make([]int, 0, c.K)
+	for l, e := 0, 0; l < c.K; l++ {
+		if e < len(erased) && erased[e] == l {
+			e++
+			continue
+		}
+		surv = append(surv, l)
+	}
+	for _, r := range rows {
+		surv = append(surv, c.K+r)
+	}
+	return c.table.Minor(surv)
+}
+
 // Decode reconstructs the erased data letters. surviving maps data index →
 // letter for the intact data letters; redundancy maps redundancy index →
 // letter for intact redundancy letters. At most F letters may be missing in
@@ -140,9 +165,9 @@ func (c *Code) Encode(data [][]bigint.Int) ([][]bigint.Int, error) {
 //
 //	r_i − Σ_{l intact} η_i^l·d_l = Σ_{l erased} η_i^l·d_l,
 //
-// an s×s Vandermonde-minor system (s = number of erased data letters) that
-// is invertible by the MDS property and solved exactly over ℚ; the solution
-// is integral because the true data is.
+// an s×s Vandermonde-minor system (s = number of erased data letters) whose
+// inverse the code's Table holds; the solution is integral because the true
+// data is, and ErrNonIntegral reports corrupted letters.
 func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigint.Int) (map[int][]bigint.Int, error) {
 	var erased []int
 	for l := 0; l < c.K; l++ {
@@ -166,32 +191,15 @@ func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigin
 	if len(rows) < len(erased) {
 		return nil, fmt.Errorf("erasure: insufficient redundancy letters")
 	}
-	// Determine letter width.
-	width := -1
-	for _, v := range surviving {
-		width = len(v)
-		break
-	}
-	if width < 0 {
-		width = len(redundancy[rows[0]])
-	}
-
-	// Build the s×s system matrix A with A[r][j] = η_{rows[r]}^{erased[j]}.
-	s := len(erased)
-	a := mat.New(s, s)
-	for r, ri := range rows {
-		for j, l := range erased {
-			a.Set(r, j, rat.FromInt64(c.e[ri][l]))
-		}
-	}
-	ainv, err := a.Inverse()
+	m, err := c.Minor(rows, erased)
 	if err != nil {
-		return nil, fmt.Errorf("erasure: decode system singular (nodes not distinct?): %w", err)
+		return nil, err
 	}
 
-	// Right-hand side: b_r = redundancy[rows[r]] − Σ_{intact l} η^l·d_l,
+	// Residuals: b_r = redundancy[rows[r]] − Σ_{intact l} η^l·d_l,
 	// element-wise over the letter width.
-	b := make([][]bigint.Int, s)
+	width := len(redundancy[rows[0]])
+	b := make([][]bigint.Int, len(rows))
 	for r, ri := range rows {
 		letter := redundancy[ri]
 		if len(letter) != width {
@@ -221,26 +229,14 @@ func (c *Code) Decode(surviving map[int][]bigint.Int, redundancy map[int][]bigin
 		b[r] = row
 	}
 
-	// x = A⁻¹·b, element-wise across the letter width; results must be
-	// integers.
-	out := make(map[int][]bigint.Int, s)
-	for j, l := range erased {
-		letter := make([]bigint.Int, width)
-		for col := 0; col < width; col++ {
-			acc := rat.Zero()
-			for r := 0; r < s; r++ {
-				entry := ainv.At(j, r)
-				if entry.IsZero() || b[r][col].IsZero() {
-					continue
-				}
-				acc = acc.Add(entry.MulInt(b[r][col]))
-			}
-			if !acc.IsInt() {
-				return nil, fmt.Errorf("erasure: non-integral decode (corrupted letters?)")
-			}
-			letter[col] = acc.Int()
-		}
-		out[l] = letter
+	x := make([][]bigint.Int, len(erased))
+	out := make(map[int][]bigint.Int, len(erased))
+	for v, l := range erased {
+		x[v] = make([]bigint.Int, width)
+		out[l] = x[v]
+	}
+	if err := m.Apply(x, b); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,11 @@ func TestNewValidations(t *testing.T) {
 	}
 	if _, err := NewWithNodes(3, []int64{1, 1}); err == nil {
 		t.Error("repeated nodes should fail")
+	}
+	// Distinct but not MDS: letters 0 and 2 carry weights (1,1) in both
+	// redundancy rows, so erasing them leaves the singular minor [[1,1],[1,1]].
+	if _, err := NewWithNodes(3, []int64{1, -1}); err == nil {
+		t.Error("nodes {1,-1} with k=3 give a singular minor and should fail")
 	}
 	if _, err := NewWithNodes(40, []int64{7}); err == nil {
 		t.Error("overflowing node powers should fail")
@@ -147,6 +153,21 @@ func TestDecodeWithPartialRedundancy(t *testing.T) {
 		if !rec[1][j].Equal(data[1][j]) {
 			t.Fatal("reconstruction with partial redundancy failed")
 		}
+	}
+}
+
+func TestDecodeNonIntegral(t *testing.T) {
+	// Erasing letters 0 and 2 of a (5,3) code leaves the minor [[1,1],[1,4]]
+	// of determinant 3; a +1 error on surviving letter 1 shifts the
+	// residuals by −(1,2), which that minor maps to −(2/3, 1/3).
+	rng := rand.New(rand.NewSource(56))
+	c, _ := New(3, 2)
+	data := randWord(rng, 3, 2, 100)
+	red, _ := c.Encode(data)
+	corrupted := []bigint.Int{data[1][0].Add(bigint.One()), data[1][1]}
+	_, err := c.Decode(map[int][]bigint.Int{1: corrupted}, map[int][]bigint.Int{0: red[0], 1: red[1]})
+	if !errors.Is(err, ErrNonIntegral) {
+		t.Fatalf("Decode of a corrupted letter: err = %v, want ErrNonIntegral", err)
 	}
 }
 

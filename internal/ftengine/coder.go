@@ -8,8 +8,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/erasure"
 	"repro/internal/machine"
-	"repro/internal/mat"
-	"repro/internal/rat"
 )
 
 // Ctx is the per-processor durable context: the data the linear code
@@ -223,7 +221,7 @@ func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) 
 
 		// Leader solves the Vandermonde minor and distributes the shards.
 		if amLeader {
-			shares, err := c.solveMinor(p, codeRows, dead, residuals)
+			shares, err := c.decode(p, codeRows, dead, residuals)
 			if err != nil {
 				return err
 			}
@@ -416,7 +414,7 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			}
 		}
 		if amLeader {
-			shares, err := c.solveMinor(p, codeRows, dead, residuals)
+			shares, err := c.decode(p, codeRows, dead, residuals)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -441,44 +439,31 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 	return prod, prodCode, nil
 }
 
-// solveMinor solves the s×s Vandermonde-minor system: given residuals
-// residual_i = Σ_{v} η_i^{r_v}·x_v for the live code rows i and dead rows
-// r_v, it returns the x_v vectors. The minor is invertible by the MDS
-// property (Definition 2.7) and the solution is exactly integral.
-func (c *Coder) solveMinor(p *machine.Proc, codeRows, deadRows []int, residuals [][]bigint.Int) ([][]bigint.Int, error) {
-	s := len(deadRows)
-	a := mat.New(s, s)
-	for i := 0; i < s; i++ {
-		row := c.code.RedundancyRow(codeRows[i])
-		for v := 0; v < s; v++ {
-			a.Set(i, v, rat.FromInt64(row[deadRows[v]]))
-		}
-	}
-	inv, err := a.Inverse()
+// decode restores the dead rows' vectors from the residuals of the live
+// code rows, residual_i = Σ_v η_i^{r_v}·x_v, with the code's precomputed
+// decoding minor (Section 4.1, "one small exact solve"). Each nonzero
+// weight × nonzero residual entry is charged at the entry's word length.
+func (c *Coder) decode(p *machine.Proc, codeRows, deadRows []int, residuals [][]bigint.Int) ([][]bigint.Int, error) {
+	m, err := c.code.Minor(codeRows, deadRows)
 	if err != nil {
-		return nil, fmt.Errorf("ftengine: decode minor singular: %w", err)
+		return nil, fmt.Errorf("ftengine: %w", err)
 	}
-	width := len(residuals[0])
-	out := make([][]bigint.Int, s)
+	out := make([][]bigint.Int, len(deadRows))
+	for v := range out {
+		out[v] = make([]bigint.Int, len(residuals[0]))
+	}
+	if err := m.Apply(out, residuals); err != nil {
+		return nil, fmt.Errorf("ftengine: %w", err)
+	}
 	var work int64
-	for v := 0; v < s; v++ {
-		vec := make([]bigint.Int, width)
-		for t := 0; t < width; t++ {
-			acc := rat.Zero()
-			for i := 0; i < s; i++ {
-				coef := inv.At(v, i)
-				if coef.IsZero() || residuals[i][t].IsZero() {
-					continue
+	for _, row := range m.Rows {
+		for i, w := range row {
+			for _, x := range residuals[i] {
+				if w != 0 && !x.IsZero() {
+					work += wordsOf(x)
 				}
-				acc = acc.Add(coef.MulInt(residuals[i][t]))
-				work += wordsOf(residuals[i][t])
 			}
-			if !acc.IsInt() {
-				return nil, fmt.Errorf("ftengine: non-integral decode (corrupted data?)")
-			}
-			vec[t] = acc.Int()
 		}
-		out[v] = vec
 	}
 	p.Work(work)
 	return out, nil

@@ -67,8 +67,7 @@ type engine struct {
 	lay    Layout
 	plan   *parallel.Plan
 	alg    *toom.Algorithm
-	pts    []points.Point // 2k-1+f extended evaluation points
-	uExt   [][]int64      // (2k-1+f)×k extended evaluation matrix
+	uExt   [][]int64 // (2k-1+f)×k extended evaluation matrix
 	ldfs   int
 	levels int
 	shift  int
@@ -77,21 +76,12 @@ type engine struct {
 	dropStragglers bool
 	slack          float64
 
-	// wScaledFor caches scaled interpolation matrices per surviving set.
-	wCache map[string]wScaled
-	// denLCM is the least common multiple of the interpolation denominators
-	// over every possible surviving point set. Each top-level fold scales
-	// its output to this common denominator, so results from different DFS
-	// sub-problems (which may lose different columns) stay compatible; the
-	// final assembly divides it out once. Per-entry division is *not*
-	// exact in the redundant digit representation — only the recomposed
-	// value is divisible — which is why normalization must be deferred.
+	// interp holds the scaled interpolation matrix of every (2k-1)-subset
+	// of the extended points ("calculated on the fly", Section 4.2, but
+	// precomputed once and shared read-only by every rank); denLCM is the
+	// lcm of their denominators, the common scale of every top-level fold.
+	interp *erasure.Table
 	denLCM int64
-}
-
-type wScaled struct {
-	rows [][]int64
-	den  int64
 }
 
 // Multiply runs the paper's fault-tolerant parallel Toom-Cook (mixed linear
@@ -106,13 +96,23 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	pts := points.StandardWithRedundancy(k, opts.F)
-	if err := points.Valid(pts, 2*k-1); err != nil {
-		return nil, fmt.Errorf("ftparallel: redundant point set invalid: %w", err)
-	}
-	uM := points.EvalMatrix(pts, k)
-	uExt, err := toom.IntRows(uM)
+	uExt, err := toom.IntRows(points.EvalMatrix(pts, k))
 	if err != nil {
 		return nil, fmt.Errorf("ftparallel: extended evaluation matrix: %w", err)
+	}
+	gen, err := toom.IntRows(points.EvalMatrix(pts, 2*k-1))
+	if err != nil {
+		return nil, fmt.Errorf("ftparallel: product evaluation matrix: %w", err)
+	}
+	// Inverting every surviving subset also proves the redundant point set
+	// valid (Section 4.2: any f erasures leave an invertible system).
+	interp, err := erasure.NewTable(gen)
+	if err != nil {
+		return nil, fmt.Errorf("ftparallel: redundant point set invalid: %w", err)
+	}
+	denLCM, err := interp.DenLCM()
+	if err != nil {
+		return nil, fmt.Errorf("ftparallel: interpolation denominators: %w", err)
 	}
 	plan, err := parallel.NewPlan(a, b, parallel.Options{
 		Alg:        opts.Alg,
@@ -142,19 +142,16 @@ func Multiply(a, b bigint.Int, opts Options) (*Result, error) {
 		lay:    lay,
 		plan:   plan,
 		alg:    opts.Alg,
-		pts:    pts,
 		uExt:   uExt,
 		ldfs:   opts.DFSSteps,
 		levels: plan.Levels(),
 		shift:  plan.Shift(),
 		digits: pow(k, plan.Levels()) * maxInt(opts.LeafFactor, 1) * opts.P,
-		wCache: map[string]wScaled{},
+		interp: interp,
+		denLCM: denLCM,
 	}
 	e.dropStragglers = opts.DropStragglers
 	e.slack = opts.StragglerSlack
-	if err := e.computeDenLCM(); err != nil {
-		return nil, err
-	}
 	coder := ftengine.NewCoder(lay, code, e.inputVecLen(), e.productShareLen())
 	res, err := ftengine.Run(e, ftengine.RunOptions{
 		Layout:         lay,
@@ -490,7 +487,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 		// Linear-code processors hold no product share.
 		return ftengine.Slots{}, nil
 	}
-	w, err := e.interpFor(surv)
+	w, err := e.interp.Minor(surv)
 	if err != nil {
 		return nil, err
 	}
@@ -541,10 +538,11 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	return ftengine.Slots{slot: out}, nil
 }
 
-// fold mirrors parallel's interpolation fold with the on-the-fly scaled
-// matrix, normalizing its denominator immediately so different surviving
-// sets across DFS sub-problems stay compatible.
-func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTotal int) []bigint.Int {
+// fold mirrors parallel's interpolation fold with the surviving set's
+// scaled matrix, then rescales to denLCM so results of DFS sub-problems that
+// lost different columns stay compatible. Only the recomposed value, not each
+// redundant digit, is divisible, so Recombine divides denLCM out once.
+func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w *erasure.Minor, lenTotal int) []bigint.Int {
 	k := e.alg.K()
 	lay := e.lay
 	childLen := len(slices[0])
@@ -556,7 +554,7 @@ func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTota
 		for s := 0; s < childLen; s++ {
 			acc := out[base+s]
 			for j := 0; j < 2*k-1; j++ {
-				c := w.rows[i][j]
+				c := w.Rows[i][j]
 				if c == 0 {
 					continue
 				}
@@ -570,7 +568,7 @@ func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTota
 			out[base+s] = acc
 		}
 	}
-	if scale := e.denLCM / w.den; scale != 1 {
+	if scale := e.denLCM / w.Den; scale != 1 {
 		for i := range out {
 			if !out[i].IsZero() {
 				out[i] = out[i].MulInt64(scale)
@@ -580,83 +578,6 @@ func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w wScaled, lenTota
 	}
 	p.Work(work)
 	return out
-}
-
-// computeDenLCM enumerates every (2k-1)-subset of the extended point set and
-// takes the lcm of the interpolation denominators.
-func (e *engine) computeDenLCM() error {
-	k := e.alg.K()
-	need := 2*k - 1
-	l := int64(1)
-	var rec func(start int, chosen []int) error
-	rec = func(start int, chosen []int) error {
-		if len(chosen) == need {
-			w, err := e.interpFor(append([]int(nil), chosen...))
-			if err != nil {
-				return err
-			}
-			l = lcm64(l, w.den)
-			if l <= 0 {
-				return fmt.Errorf("ftparallel: interpolation denominator lcm overflows int64")
-			}
-			return nil
-		}
-		for c := start; c <= len(e.pts)-(need-len(chosen)); c++ {
-			if err := rec(c+1, append(chosen, c)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0, nil); err != nil {
-		return err
-	}
-	e.denLCM = l
-	return nil
-}
-
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm64(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd64(a, b) * b
-}
-
-// interpFor returns the scaled interpolation matrix for a surviving column
-// set (cached; identical on every processor).
-func (e *engine) interpFor(surv []int) (wScaled, error) {
-	key := fmt.Sprint(surv)
-	if w, ok := e.wCache[key]; ok {
-		return w, nil
-	}
-	pts := make([]points.Point, len(surv))
-	for i, c := range surv {
-		pts[i] = e.pts[c]
-	}
-	wt, err := points.Interpolation(pts, 2*e.alg.K()-1)
-	if err != nil {
-		return wScaled{}, err
-	}
-	rows, den, err := toom.ScaledRows(wt)
-	if err != nil {
-		return wScaled{}, err
-	}
-	w := wScaled{rows: rows, den: den}
-	e.wCache[key] = w
-	return w, nil
 }
 
 // survivors picks the first `need` live extended columns.

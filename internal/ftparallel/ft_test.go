@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bigint"
@@ -390,5 +391,65 @@ func TestLeafFactorVariants(t *testing.T) {
 			Faults: []machine.Fault{{Proc: 0, Phase: PhaseMul}},
 		})
 		checkProduct(t, a, b, res, err)
+	}
+}
+
+// TestMultiplyConcurrentMulFaults runs fault-tolerant multiplications from
+// several goroutines at once, each losing two different columns at the
+// multiplication stage, so concurrent runs interpolate from different
+// surviving sets. Every product must be exact (and race-free under -race).
+func TestMultiplyConcurrentMulFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	alg := toom.MustNew(2)
+	a, b := randOperand(rng, 1<<12), randOperand(rng, 1<<12)
+	want := new(big.Int).Mul(a.ToBig(), b.ToBig())
+	lay, _ := NewLayout(9, 2, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := Multiply(a, b, Options{
+				Alg: alg, P: 9, F: 2,
+				Faults: []machine.Fault{
+					{Proc: lay.ColumnRank(0, g), Phase: PhaseMul},
+					{Proc: lay.ColumnRank(1, g+1), Phase: PhaseMul},
+				},
+			})
+			if err != nil {
+				t.Errorf("columns %d,%d: %v", g, g+1, err)
+				return
+			}
+			if res.Product.ToBig().Cmp(want) != 0 {
+				t.Errorf("columns %d,%d: wrong product", g, g+1)
+			}
+			if len(res.DeadColumns) != 2 {
+				t.Errorf("columns %d,%d: dead columns %v", g, g+1, res.DeadColumns)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestWideColumnFaults runs a P=81, F=2 grid, whose 27-letter column code
+// has more survivor sets than a common int64 denominator covers: two
+// evaluation-stage faults in one column (letters 3 and 26) are decoded
+// exactly, and a multiplication-stage fault drops a column.
+func TestWideColumnFaults(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	alg := toom.MustNew(2)
+	a, b := randOperand(rng, 1<<14), randOperand(rng, 1<<14)
+	lay, _ := NewLayout(81, 2, 2)
+	res, err := Multiply(a, b, Options{
+		Alg: alg, P: 81, F: 2,
+		Faults: []machine.Fault{
+			{Proc: lay.Worker(3, 0), Phase: PhaseEval},
+			{Proc: lay.Worker(26, 0), Phase: PhaseEval},
+			{Proc: lay.Worker(5, 1), Phase: PhaseMul},
+		},
+	})
+	checkProduct(t, a, b, res, err)
+	if len(res.DeadColumns) != 1 || res.DeadColumns[0] != 1 {
+		t.Errorf("dead columns = %v, want [1]", res.DeadColumns)
 	}
 }

@@ -9,9 +9,9 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"repro/internal/bigint"
 	"repro/internal/rat"
 )
 
@@ -287,36 +287,47 @@ func (m *Matrix) ApplyRat(x []rat.Rat) []rat.Rat {
 	return z
 }
 
-// ApplyInt returns m·x for an integer column vector x, as exact rationals.
-func (m *Matrix) ApplyInt(x []bigint.Int) []rat.Rat {
-	xr := make([]rat.Rat, len(x))
-	for i, v := range x {
-		xr[i] = rat.FromInt(v)
-	}
-	return m.ApplyRat(xr)
-}
-
-// ApplyIntExact returns m·x for an integer vector x, requiring every
-// component of the result to be an integer (it panics otherwise). Toom-Cook
-// interpolation applied to a genuine product evaluation always yields
-// integers; non-integers indicate corrupted inputs.
-func (m *Matrix) ApplyIntExact(x []bigint.Int) []bigint.Int {
-	r := m.ApplyInt(x)
-	z := make([]bigint.Int, len(r))
-	for i, v := range r {
-		z[i] = v.Int()
-	}
-	return z
-}
-
-// IsIntegerMatrix reports whether every entry of m is an integer.
-func (m *Matrix) IsIntegerMatrix() bool {
+// ScaledInts returns m in scaled-integer form: int64 rows and the least
+// common denominator d of its entries, with m = rows/d. Rational
+// interpolation and decoding matrices are applied this way, with one exact
+// division by d after the integer combination.
+func (m *Matrix) ScaledInts() ([][]int64, int64, error) {
+	den := int64(1)
 	for _, v := range m.a {
-		if !v.IsInt() {
-			return false
+		dv, ok := v.Den().Int64()
+		if ok {
+			den = LCM64(den, dv)
+		}
+		if !ok || den == 0 {
+			return nil, 0, fmt.Errorf("mat: common denominator overflows int64")
 		}
 	}
-	return true
+	rows := make([][]int64, m.rows)
+	for i := range rows {
+		rows[i] = make([]int64, m.cols)
+		for j := range rows[i] {
+			v := m.At(i, j)
+			dv, _ := v.Den().Int64()
+			n, ok := v.Num().MulInt64(den / dv).Int64()
+			if !ok {
+				return nil, 0, fmt.Errorf("mat: scaled entry (%d,%d) overflows int64", i, j)
+			}
+			rows[i][j] = n
+		}
+	}
+	return rows, den, nil
+}
+
+// LCM64 returns lcm(a, b) of positive a and b, or 0 if it overflows int64.
+func LCM64(a, b int64) int64 {
+	x, y := a, b
+	for y != 0 {
+		x, y = y, x%y
+	}
+	if q := a / x; q <= math.MaxInt64/b {
+		return q * b
+	}
+	return 0
 }
 
 // String renders the matrix for debugging and for the figure harness.
@@ -436,8 +447,8 @@ func AllMinorsInvertible(m *Matrix) bool {
 		size = cmax
 	}
 	for s := 1; s <= size; s++ {
-		rowSets := combinations(rmax, s)
-		colSets := combinations(cmax, s)
+		rowSets := Combinations(rmax, s)
+		colSets := Combinations(cmax, s)
 		for _, rs := range rowSets {
 			for _, cs := range colSets {
 				sub := New(s, s)
@@ -455,8 +466,9 @@ func AllMinorsInvertible(m *Matrix) bool {
 	return true
 }
 
-// combinations enumerates all size-s subsets of {0, …, n-1}.
-func combinations(n, s int) [][]int {
+// Combinations enumerates all size-s subsets of {0, …, n-1}, each ascending,
+// in lexicographic order.
+func Combinations(n, s int) [][]int {
 	var out [][]int
 	idx := make([]int, s)
 	var rec func(start, pos int)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bigint"
 	"repro/internal/rat"
 )
 
@@ -146,24 +145,32 @@ func TestSolve(t *testing.T) {
 	}
 }
 
-func TestApplyIntExact(t *testing.T) {
-	m := FromInt64s(2, 2, []int64{1, 1, 1, -1})
-	x := []bigint.Int{bigint.FromInt64(10), bigint.FromInt64(4)}
-	z := m.ApplyIntExact(x)
-	if v, _ := z[0].Int64(); v != 14 {
-		t.Errorf("z[0] = %v", z[0])
+func TestScaledInts(t *testing.T) {
+	m := New(2, 2)
+	m.Set(0, 0, rat.NewInt64(1, 2))
+	m.Set(0, 1, rat.NewInt64(-2, 3))
+	m.Set(1, 1, rat.FromInt64(5))
+	rows, den, err := m.ScaledInts()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, _ := z[1].Int64(); v != 6 {
-		t.Errorf("z[1] = %v", z[1])
+	if den != 6 {
+		t.Fatalf("den = %d, want 6", den)
 	}
-	half := New(1, 1)
-	half.Set(0, 0, rat.NewInt64(1, 2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-integer result")
+	want := [][]int64{{3, -4}, {0, 30}}
+	for i := range want {
+		for j := range want[i] {
+			if rows[i][j] != want[i][j] {
+				t.Errorf("rows[%d][%d] = %d, want %d", i, j, rows[i][j], want[i][j])
+			}
 		}
-	}()
-	half.ApplyIntExact([]bigint.Int{bigint.FromInt64(3)})
+	}
+	huge := New(1, 2)
+	huge.Set(0, 0, rat.NewInt64(1, 1<<40))
+	huge.Set(0, 1, rat.NewInt64(1, 1<<40-1))
+	if _, _, err := huge.ScaledInts(); err == nil {
+		t.Fatal("common denominator overflow not reported")
+	}
 }
 
 func TestSelectRows(t *testing.T) {
@@ -204,7 +211,7 @@ func TestAllMinorsInvertible(t *testing.T) {
 }
 
 func TestCombinations(t *testing.T) {
-	cs := combinations(4, 2)
+	cs := Combinations(4, 2)
 	if len(cs) != 6 {
 		t.Fatalf("C(4,2) = %d, want 6", len(cs))
 	}

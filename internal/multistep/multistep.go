@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/bigint"
+	"repro/internal/erasure"
 	"repro/internal/mat"
 	"repro/internal/points"
 	"repro/internal/poly"
@@ -32,12 +33,10 @@ type Algorithm struct {
 	pts     []points.MultiPoint
 	u       [][]int64 // ((2k-1)^l+f) × k^l evaluation matrix
 	base    *toom.Algorithm
-	wCache  map[string]cachedW
-}
-
-type cachedW struct {
-	rows [][]int64
-	den  int64
+	// interp inverts the product-width evaluation matrix restricted to
+	// every (2k-1)^l surviving points, which the (2k-1, l)-general position
+	// of the point set guarantees to exist (Claim 6.1).
+	interp *erasure.Table
 }
 
 // New constructs the merged-step algorithm: the (2k-1)^l tensor grid of the
@@ -78,11 +77,19 @@ func New(k, l, f int) (*Algorithm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multistep: evaluation matrix not integral: %w", err)
 	}
+	gen, err := toom.IntRows(points.MultiEvalMatrix(pts, 2*k-1, l))
+	if err != nil {
+		return nil, fmt.Errorf("multistep: product evaluation matrix not integral: %w", err)
+	}
+	interp, err := erasure.NewTable(gen)
+	if err != nil {
+		return nil, fmt.Errorf("multistep: surviving set not invertible (general position violated?): %w", err)
+	}
 	balg, err := toom.New(k)
 	if err != nil {
 		return nil, err
 	}
-	return &Algorithm{K: k, L: l, F: f, pts: pts, u: u, base: balg, wCache: map[string]cachedW{}}, nil
+	return &Algorithm{K: k, L: l, F: f, pts: pts, u: u, base: balg, interp: interp}, nil
 }
 
 // Points returns the evaluation points (copy).
@@ -114,8 +121,8 @@ func (alg *Algorithm) Mul(a, b bigint.Int) (bigint.Int, error) {
 
 // MulWithErasures multiplies while discarding the pointwise products listed
 // in dead (product indices, at most F of them) — the multiplication-phase
-// fault model. The interpolation matrix is built on the fly from the
-// surviving points, exactly as in Section 4.2.
+// fault model. The interpolation matrix is the surviving points' inverse,
+// looked up in the precomputed table (Section 4.2's on-the-fly matrix).
 func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, error) {
 	if len(dead) > alg.F {
 		return bigint.Int{}, fmt.Errorf("multistep: %d erasures exceed tolerance f=%d", len(dead), alg.F)
@@ -166,17 +173,17 @@ func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, 
 			surv = append(surv, i)
 		}
 	}
-	w, err := alg.interpFor(surv)
+	w, err := alg.interp.Minor(surv)
 	if err != nil {
 		return bigint.Int{}, err
 	}
-	sel := make([]bigint.Int, len(surv))
+	coeffs := make([]bigint.Int, len(surv))
+	dst, sel := make([][]bigint.Int, len(surv)), make([][]bigint.Int, len(surv))
 	for i, idx := range surv {
-		sel[i] = prods[idx]
+		dst[i], sel[i] = coeffs[i:i+1], prods[idx:idx+1]
 	}
-	coeffs := toom.ApplyRows(w.rows, sel)
-	for i := range coeffs {
-		coeffs[i] = coeffs[i].DivExactInt64(w.den)
+	if err := w.Apply(dst, sel); err != nil {
+		return bigint.Int{}, fmt.Errorf("multistep: %w", err)
 	}
 
 	// Recompose the multivariate product polynomial at the base tower
@@ -187,33 +194,6 @@ func (alg *Algorithm) MulWithErasures(a, b bigint.Int, dead []int) (bigint.Int, 
 		z = z.Neg()
 	}
 	return z, nil
-}
-
-// interpFor builds (and caches) the scaled interpolation matrix for a
-// surviving product subset: the inverse of the product-width evaluation
-// matrix restricted to those points, which the (2k-1, l)-general position
-// of the point set guarantees to exist (Claim 6.1).
-func (alg *Algorithm) interpFor(surv []int) (cachedW, error) {
-	key := fmt.Sprint(surv)
-	if w, ok := alg.wCache[key]; ok {
-		return w, nil
-	}
-	pts := make([]points.MultiPoint, len(surv))
-	for i, idx := range surv {
-		pts[i] = alg.pts[idx]
-	}
-	e := points.MultiEvalMatrix(pts, 2*alg.K-1, alg.L)
-	inv, err := e.Inverse()
-	if err != nil {
-		return cachedW{}, fmt.Errorf("multistep: surviving set not invertible (general position violated?): %w", err)
-	}
-	rows, den, err := toom.ScaledRows(inv)
-	if err != nil {
-		return cachedW{}, err
-	}
-	w := cachedW{rows: rows, den: den}
-	alg.wCache[key] = w
-	return w, nil
 }
 
 // GeneralPosition verifies the extended point set is in (2k-1, l)-general

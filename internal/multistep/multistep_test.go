@@ -3,6 +3,7 @@ package multistep
 import (
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bigint"
@@ -161,4 +162,34 @@ func TestProcessorsPerFault(t *testing.T) {
 	if got := ProcessorsPerFault(27, 2, 3); got != 1 {
 		t.Errorf("l=3: %d", got)
 	}
+}
+
+// TestMulWithErasuresConcurrent shares one algorithm between goroutines
+// erasing different products: interpolation reads an immutable table, so
+// concurrent multiplications must be race-free and exact.
+func TestMulWithErasuresConcurrent(t *testing.T) {
+	alg, err := New(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(114))
+	a, b := randOperand(rng, 512), randOperand(rng, 512)
+	want := new(big.Int).Mul(a.ToBig(), b.ToBig())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dead := []int{g, (g + 3) % alg.NumProducts()}
+			got, err := alg.MulWithErasures(a, b, dead)
+			if err != nil {
+				t.Errorf("erasures %v: %v", dead, err)
+				return
+			}
+			if got.ToBig().Cmp(want) != 0 {
+				t.Errorf("erasures %v: wrong product", dead)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

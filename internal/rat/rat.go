@@ -124,9 +124,6 @@ func (x Rat) Cmp(y Rat) int {
 // Equal reports whether x == y.
 func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
 
-// MulInt returns x * v for an integer v.
-func (x Rat) MulInt(v bigint.Int) Rat { return x.Mul(FromInt(v)) }
-
 // Pow returns x^n for n >= 0 (x^0 = 1, including 0^0 = 1, the convention
 // used by homogeneous evaluation points where h^0 appears with h = 0).
 func (x Rat) Pow(n int) Rat {

@@ -19,9 +19,11 @@
 package softfault
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bigint"
+	"repro/internal/erasure"
 	"repro/internal/mat"
 	"repro/internal/points"
 	"repro/internal/rat"
@@ -33,9 +35,11 @@ import (
 // points.
 type Corrector struct {
 	K, F int
-	pts  []points.Point // finite, pairwise distinct
-	xs   []rat.Rat      // affine coordinates
-	u    [][]int64      // (2k-1+f)×k evaluation matrix
+	xs   []rat.Rat // affine coordinates, pairwise distinct
+	u    [][]int64 // (2k-1+f)×k evaluation matrix
+	gen  [][]int64 // (2k-1+f)×(2k-1) product-evaluation matrix
+	// prefix interpolates from the first 2k-1 products.
+	prefix *erasure.Minor
 }
 
 // New builds a corrector for Toom-Cook-k with f redundant products, over
@@ -62,14 +66,25 @@ func New(k, f int) (*Corrector, error) {
 		}
 		v++
 	}
-	if err := points.Valid(pts, 2*k-1); err != nil {
-		return nil, err
-	}
 	u, err := toom.IntRows(points.EvalMatrix(pts, k))
 	if err != nil {
 		return nil, err
 	}
-	return &Corrector{K: k, F: f, pts: pts, xs: xs, u: u}, nil
+	gen, err := toom.IntRows(points.EvalMatrix(pts, 2*k-1))
+	if err != nil {
+		return nil, err
+	}
+	// Interpolation only ever uses the first 2k-1 points: a table over
+	// those rows holds that single minor, whose survivor set is every row.
+	interp, err := erasure.NewTable(gen[:2*k-1])
+	if err != nil {
+		return nil, fmt.Errorf("softfault: %w", err)
+	}
+	prefix, err := interp.Minor(mat.Combinations(2*k-1, 2*k-1)[0])
+	if err != nil {
+		return nil, fmt.Errorf("softfault: %w", err)
+	}
+	return &Corrector{K: k, F: f, xs: xs, u: u, gen: gen, prefix: prefix}, nil
 }
 
 // Products computes the 2k-1+f pointwise products of one Toom-Cook step for
@@ -86,43 +101,39 @@ func (c *Corrector) Products(da, db []bigint.Int) []bigint.Int {
 }
 
 // Verify reports whether vals is a consistent evaluation vector: the
-// interpolation from the first 2k-1 values must reproduce every redundant
-// value. Any ≤ f corruptions are guaranteed to be caught (distance f+1);
-// it never produces false alarms on clean vectors.
+// interpolation from the first 2k-1 values must be integral and reproduce
+// every redundant value. Any ≤ f corruptions are guaranteed to be caught
+// (distance f+1); it never produces false alarms on clean vectors.
 func (c *Corrector) Verify(vals []bigint.Int) (bool, error) {
-	coeffs, err := c.interpolatePrefix(vals)
-	if err != nil {
-		return false, err
-	}
-	return c.consistent(coeffs, vals), nil
+	coeffs, err := c.fit(vals)
+	return coeffs != nil, err
 }
 
-// interpolatePrefix interpolates the coefficient vector from the first
-// 2k-1 values (which may be corrupted; callers cross-check).
-func (c *Corrector) interpolatePrefix(vals []bigint.Int) ([]rat.Rat, error) {
-	d := 2*c.K - 1
-	if len(vals) != len(c.pts) {
-		return nil, fmt.Errorf("softfault: want %d values, got %d", len(c.pts), len(vals))
+// fit interpolates the integer coefficient vector from the first 2k-1
+// values and returns it if it reproduces every value, nil otherwise.
+func (c *Corrector) fit(vals []bigint.Int) ([]bigint.Int, error) {
+	if len(vals) != len(c.xs) {
+		return nil, fmt.Errorf("softfault: want %d values, got %d", len(c.xs), len(vals))
 	}
-	wt, err := points.Interpolation(c.pts[:d], d)
+	d := len(c.prefix.Rows)
+	coeffs := make([]bigint.Int, d)
+	dst, res := make([][]bigint.Int, d), make([][]bigint.Int, d)
+	for i := range res {
+		dst[i], res[i] = coeffs[i:i+1], vals[i:i+1]
+	}
+	err := c.prefix.Apply(dst, res)
+	if errors.Is(err, erasure.ErrNonIntegral) {
+		return nil, nil // no integer polynomial fits: not a product codeword
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("softfault: %w", err)
 	}
-	return wt.ApplyInt(vals[:d]), nil
-}
-
-// consistent checks coeffs against every evaluation in vals.
-func (c *Corrector) consistent(coeffs []rat.Rat, vals []bigint.Int) bool {
-	for i, x := range c.xs {
-		acc := rat.Zero()
-		for j := len(coeffs) - 1; j >= 0; j-- {
-			acc = acc.Mul(x).Add(coeffs[j])
-		}
-		if !acc.Equal(rat.FromInt(vals[i])) {
-			return false
+	for i, v := range toom.ApplyRows(c.gen, coeffs) {
+		if !v.Equal(vals[i]) {
+			return nil, nil
 		}
 	}
-	return true
+	return coeffs, nil
 }
 
 // Correct recovers the true coefficient vector from vals with up to ⌊f/2⌋
@@ -132,15 +143,15 @@ func (c *Corrector) consistent(coeffs []rat.Rat, vals []bigint.Int) bool {
 // coefficients and the indices of the corrupted values, or an error if the
 // corruption exceeds the correction radius (detected, not mis-corrected).
 func (c *Corrector) Correct(vals []bigint.Int) ([]bigint.Int, []int, error) {
-	if len(vals) != len(c.pts) {
-		return nil, nil, fmt.Errorf("softfault: want %d values, got %d", len(c.pts), len(vals))
+	if len(vals) != len(c.xs) {
+		return nil, nil, fmt.Errorf("softfault: want %d values, got %d", len(c.xs), len(vals))
 	}
 	d := 2*c.K - 2 // product polynomial degree
 	e := c.F / 2   // correction radius
 
 	// Fast path: already consistent.
-	if coeffs, err := c.interpolatePrefix(vals); err == nil && c.consistent(coeffs, vals) {
-		return ratsToInts(coeffs)
+	if coeffs, err := c.fit(vals); err == nil && coeffs != nil {
+		return coeffs, nil, nil
 	}
 	if e == 0 {
 		return nil, nil, fmt.Errorf("softfault: corruption detected; f=%d provides detection only (correction needs f >= 2)", c.F)
@@ -192,11 +203,10 @@ func (c *Corrector) Correct(vals []bigint.Int) ([]bigint.Int, []int, error) {
 		if len(bad) > e {
 			continue
 		}
-		ints, idx, err := ratsToInts(coeffs)
+		ints, err := ratsToInts(coeffs)
 		if err != nil {
 			continue
 		}
-		_ = idx
 		return ints, bad, nil
 	}
 	return nil, nil, fmt.Errorf("softfault: corruption detected but uncorrectable (more than ⌊f/2⌋ = %d errors)", e)
@@ -327,13 +337,13 @@ func allZero(v []rat.Rat) bool {
 	return true
 }
 
-func ratsToInts(coeffs []rat.Rat) ([]bigint.Int, []int, error) {
+func ratsToInts(coeffs []rat.Rat) ([]bigint.Int, error) {
 	out := make([]bigint.Int, len(coeffs))
 	for i, v := range coeffs {
 		if !v.IsInt() {
-			return nil, nil, fmt.Errorf("softfault: non-integral coefficient %d", i)
+			return nil, fmt.Errorf("softfault: coefficient %d: %w", i, erasure.ErrNonIntegral)
 		}
 		out[i] = v.Int()
 	}
-	return out, nil, nil
+	return out, nil
 }

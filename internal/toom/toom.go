@@ -126,7 +126,7 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 	if err := points.Valid(pts, 2*k-1); err != nil {
 		return nil, err
 	}
-	u, err := intMatrix(points.EvalMatrix(pts, k))
+	u, err := IntRows(points.EvalMatrix(pts, k))
 	if err != nil {
 		return nil, fmt.Errorf("toom: evaluation matrix not integral: %w", err)
 	}
@@ -134,7 +134,7 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 	if err != nil {
 		return nil, err
 	}
-	wNum, wDen, err := scaledIntMatrix(wt)
+	wNum, wDen, err := wt.ScaledInts()
 	if err != nil {
 		return nil, fmt.Errorf("toom: interpolation matrix: %w", err)
 	}
@@ -522,88 +522,11 @@ func (alg *Algorithm) U() [][]int64 { return alg.u }
 func (alg *Algorithm) WScaled() ([][]int64, int64) { return alg.wNum, alg.wDen }
 
 // IntRows converts a rational matrix with integer entries to int64 rows —
-// used by fault-tolerant wrappers to build extended evaluation matrices.
-func IntRows(m *mat.Matrix) ([][]int64, error) { return intMatrix(m) }
-
-// ScaledRows converts a rational matrix to scaled-integer form: rows and a
-// common denominator d with M = rows/d. Fault-tolerant interpolation builds
-// its matrix on the fly from surviving evaluation points and applies it in
-// this form.
-func ScaledRows(m *mat.Matrix) ([][]int64, int64, error) { return scaledIntMatrix(m) }
-
-// intMatrix converts a rational matrix with integer entries to int64 rows.
-func intMatrix(m *mat.Matrix) ([][]int64, error) {
-	rows := make([][]int64, m.Rows())
-	for i := 0; i < m.Rows(); i++ {
-		rows[i] = make([]int64, m.Cols())
-		for j := 0; j < m.Cols(); j++ {
-			v := m.At(i, j)
-			if !v.IsInt() {
-				return nil, fmt.Errorf("entry (%d,%d) = %v is not an integer", i, j, v)
-			}
-			n, ok := v.Num().Int64()
-			if !ok {
-				return nil, fmt.Errorf("entry (%d,%d) = %v overflows int64", i, j, v)
-			}
-			rows[i][j] = n
-		}
+// the evaluation matrices of every Toom-Cook form, standard or extended.
+func IntRows(m *mat.Matrix) ([][]int64, error) {
+	rows, den, err := m.ScaledInts()
+	if err == nil && den != 1 {
+		err = fmt.Errorf("matrix has non-integer entries (common denominator %d)", den)
 	}
-	return rows, nil
-}
-
-// scaledIntMatrix finds the least common denominator d of a rational matrix
-// and returns (d·M as int64 rows, d).
-func scaledIntMatrix(m *mat.Matrix) ([][]int64, int64, error) {
-	den := int64(1)
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			dv, ok := m.At(i, j).Den().Int64()
-			if !ok {
-				return nil, 0, fmt.Errorf("denominator at (%d,%d) overflows int64", i, j)
-			}
-			den = lcm64(den, dv)
-			if den <= 0 {
-				return nil, 0, fmt.Errorf("common denominator overflows int64")
-			}
-		}
-	}
-	rows := make([][]int64, m.Rows())
-	for i := 0; i < m.Rows(); i++ {
-		rows[i] = make([]int64, m.Cols())
-		for j := 0; j < m.Cols(); j++ {
-			v := m.At(i, j)
-			dv, _ := v.Den().Int64()
-			nv, ok := v.Num().Int64()
-			if !ok {
-				return nil, 0, fmt.Errorf("numerator at (%d,%d) overflows int64", i, j)
-			}
-			scale := den / dv
-			prod := nv * scale
-			if nv != 0 && prod/nv != scale {
-				return nil, 0, fmt.Errorf("scaled entry at (%d,%d) overflows int64", i, j)
-			}
-			rows[i][j] = prod
-		}
-	}
-	return rows, den, nil
-}
-
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm64(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd64(a, b) * b
+	return rows, err
 }

@@ -47,11 +47,11 @@ func NewUnbalanced(k1, k2 int, inner *Algorithm) (*UnbalancedAlgorithm, error) {
 	if err := points.Valid(pts, n); err != nil {
 		return nil, err
 	}
-	u, err := intMatrix(points.EvalMatrix(pts, k1))
+	u, err := IntRows(points.EvalMatrix(pts, k1))
 	if err != nil {
 		return nil, fmt.Errorf("toom: unbalanced U: %w", err)
 	}
-	v, err := intMatrix(points.EvalMatrix(pts, k2))
+	v, err := IntRows(points.EvalMatrix(pts, k2))
 	if err != nil {
 		return nil, fmt.Errorf("toom: unbalanced V: %w", err)
 	}
@@ -59,7 +59,7 @@ func NewUnbalanced(k1, k2 int, inner *Algorithm) (*UnbalancedAlgorithm, error) {
 	if err != nil {
 		return nil, err
 	}
-	wNum, wDen, err := scaledIntMatrix(wt)
+	wNum, wDen, err := wt.ScaledInts()
 	if err != nil {
 		return nil, err
 	}
