@@ -245,7 +245,7 @@ func ftCounts(p, k, faults, ldfs, digits int) Counts {
 func ftNode(worker, linear, poly *Counts, p, k, faults, gP int, logT int64, lenTotal, ldfs, level int) {
 	cols := 2*k - 1
 	if level < ldfs {
-		// DFS level: workers evaluate both operands locally (applyRowBlocks
+		// DFS level: workers evaluate both operands locally (parallel.EvalRow
 		// over the 2·lenTotal/P-word share, twice) and accumulate each
 		// child product into the 2k-1 coefficient blocks; code ranks only
 		// follow the recursion.

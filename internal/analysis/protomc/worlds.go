@@ -413,7 +413,6 @@ func buildEngineWorld(pkg string, sums *framework.Summaries, skels *framework.Sk
 		"shift":   knownInt(shift),
 		"neg":     knownBool(false),
 		"track":   knownBool(false),
-		"hooks":   &StructVal{Type: "Hooks", Fields: map[string]Value{"Sync": NilVal{}}},
 		"sharesA": shares(),
 		"sharesB": shares(),
 	}}

@@ -62,6 +62,25 @@ func TestBackendsAgreeOnFaultMatrix(t *testing.T) {
 		{"dfs-mul", 1, 1,
 			[]machine.Fault{{Proc: 3, Phase: ftparallel.PhaseMul, Hit: 1}},
 			goldenCounts{7511, 396, 65}},
+		// A linear-code processor that dies after the evaluation barrier is
+		// re-encoded from the restored column.
+		{"mul-linear-code", 2, 0,
+			[]machine.Fault{{Proc: lay.LinearCode(0, 1), Phase: ftparallel.PhaseMul}},
+			goldenCounts{8235, 399, 32}},
+		{"interp-linear-code+worker", 2, 0,
+			[]machine.Fault{
+				{Proc: lay.LinearCode(0, 1), Phase: ftparallel.PhaseInterp},
+				{Proc: lay.Worker(2, 1), Phase: ftparallel.PhaseInterp},
+			},
+			goldenCounts{8315, 479, 34}},
+		// Two product shares of one column repaired from the F=2 product
+		// code inside a DFS sub-problem.
+		{"dfs-interp-pair", 2, 1,
+			[]machine.Fault{
+				{Proc: lay.Worker(0, 2), Phase: ftparallel.PhaseInterp, Hit: 1},
+				{Proc: lay.Worker(2, 2), Phase: ftparallel.PhaseInterp, Hit: 1},
+			},
+			goldenCounts{8162, 643, 83}},
 	}
 
 	for _, pl := range plans {

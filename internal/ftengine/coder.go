@@ -1,6 +1,7 @@
 package ftengine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -41,6 +42,11 @@ func NewCoder(lay Layout, code *erasure.Code, dataLen, prodLen int) *Coder {
 	return &Coder{lay: lay, code: code, dataLen: dataLen, prodLen: prodLen}
 }
 
+// ErrToleranceExceeded reports a fault plan outside the code's budget: more
+// victims in one column than it has live code rows, or fewer surviving
+// columns than interpolation needs. Every over-budget exit wraps it.
+var ErrToleranceExceeded = errors.New("fault tolerance exceeded")
+
 // Protect runs the engine's stage 0 on one rank: encode the input shards
 // onto the code processors, cross the evaluation barrier, and repair any
 // data the barrier's fault events destroyed. The barrier is crossed even
@@ -63,11 +69,9 @@ func (c *Coder) Protect(p *machine.Proc, rk *Rank) error {
 	if err := c.RecoverData(p, ev, rk.Ctx); err != nil {
 		return err
 	}
-	rk.Recovered += countDataLoss(ev)
+	rk.Recovered += len(ev)
 	return nil
 }
-
-func countDataLoss(ev []machine.FaultEvent) int { return len(ev) }
 
 func zeroVec(n int) machine.Ints {
 	v := make(machine.Ints, n)
@@ -88,10 +92,61 @@ func (c *Coder) columnGroupWithRoot(j int, rows []int, root int) collective.Grou
 }
 
 // CreateInputCode runs the paper's code creation (Section 4.1): each column
-// of workers encodes its input shards onto the f code processors below it
-// with Vandermonde-weighted reduces. Workers pass their shard; code
-// processors receive their codeword; other ranks return nil.
+// of workers encodes its input shards onto the f code processors below it.
+// Workers pass their shard; code processors receive their codeword; other
+// ranks return nil.
 func (c *Coder) CreateInputCode(p *machine.Proc, data []bigint.Int) ([]bigint.Int, error) {
+	return c.encode(p, "code1", data, c.dataLen, func(int, int) bool { return true })
+}
+
+// RecoverData repairs shard data lost to the fault events (Section 4.1,
+// "Fault recovery"), writing the victim's restored shard back into ctx, then
+// re-encodes the codewords of dead code processors from the restored
+// columns.
+func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) error {
+	if len(ev) == 0 || c.code == nil {
+		return nil
+	}
+	data, deadCode, err := c.repair(p, ev, nil, ctx.Data, ctx.Code, c.dataLen, "rec1")
+	if err != nil {
+		return err
+	}
+	ctx.Data = data
+	code, err := c.encode(p, "reenc1", ctx.Data, c.dataLen, func(i, j int) bool { return deadCode[[2]int{i, j}] })
+	if err != nil {
+		return err
+	}
+	if code != nil {
+		ctx.Code = code
+	}
+	return nil
+}
+
+// CreateProductCode re-creates the linear code over the mid-step product
+// shares of the live worker columns ("Each BFS step initiates a new code
+// creation process"), protecting the recombination stage. It returns the
+// code processor's product codeword (nil elsewhere).
+func (c *Coder) CreateProductCode(p *machine.Proc, deadCols map[int]bool, prod []bigint.Int, tag string) ([]bigint.Int, error) {
+	return c.encode(p, tag+"/code2", prod, c.prodLen, func(_, j int) bool { return !deadCols[j] })
+}
+
+// RecoverProducts repairs product shares lost after CreateProductCode for
+// victims in live worker columns, using the freshly created product code.
+// The victim's restored share is returned (others pass through unchanged).
+func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCols map[int]bool, prod, prodCode []bigint.Int, tag string) ([]bigint.Int, error) {
+	if len(ev) == 0 || c.code == nil {
+		return prod, nil
+	}
+	prod, _, err := c.repair(p, ev, deadCols, prod, prodCode, c.prodLen, tag+"/rec2")
+	return prod, err
+}
+
+// encode is the column code creation every protocol shares: for each pair
+// (code row i, column j) that keep selects, in row-major order, column j's
+// workers reduce their vec, weighted by code row i, onto code processor
+// (i, j), which contributes zeros of length n. It returns the codeword this
+// rank received as a root (nil on every other rank or with no code).
+func (c *Coder) encode(p *machine.Proc, tag string, vec []bigint.Int, n int, keep func(i, j int) bool) ([]bigint.Int, error) {
 	if c.code == nil {
 		return nil, nil
 	}
@@ -101,22 +156,24 @@ func (c *Coder) CreateInputCode(p *machine.Proc, data []bigint.Int) ([]bigint.In
 	var myCode []bigint.Int
 	for i := 0; i < lay.F; i++ {
 		for j := 0; j < lay.Cols(); j++ {
+			if !keep(i, j) {
+				continue
+			}
 			root := lay.LinearCode(i, j)
 			isWorker := rank < lay.P && rank/lay.GPrime == j
 			if !isWorker && rank != root {
 				continue
 			}
 			group := c.columnGroupWithRoot(j, allRows, root)
-			tag := fmt.Sprintf("code1/%d/%d", i, j)
 			var mine machine.Ints
 			var weight int64
 			if isWorker {
-				mine = machine.Ints(data)
+				mine = machine.Ints(vec)
 				weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
 			} else {
-				mine = zeroVec(c.dataLen)
+				mine = zeroVec(n)
 			}
-			got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
+			got, err := collective.WeightedReduce(p, group, len(group)-1, fmt.Sprintf("%s/%d/%d", tag, i, j), mine, weight)
 			if err != nil {
 				return nil, err
 			}
@@ -128,15 +185,13 @@ func (c *Coder) CreateInputCode(p *machine.Proc, data []bigint.Int) ([]bigint.In
 	return myCode, nil
 }
 
-// RecoverData repairs shard data lost to the fault events: each affected
-// column rebuilds its victims' shards from the survivors and the code
-// processors via reduces and one small exact solve (Section 4.1, "Fault
-// recovery"); dead code processors are then re-encoded. The victim's
-// restored shard is written back into ctx.
-func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) error {
-	if len(ev) == 0 || c.code == nil {
-		return nil
-	}
+// repair is the column repair every protocol shares: it rebuilds the vec of
+// every worker the fault events killed outside skipCols from the column's
+// survivors and codewords (length n), via residual reduces to the column's
+// first victim (the leader) and one small exact solve (Section 4.1, "Fault
+// recovery"). It returns this rank's vec — restored on a victim, unchanged
+// elsewhere — and the (code row, column) pairs whose code processor died.
+func (c *Coder) repair(p *machine.Proc, ev []machine.FaultEvent, skipCols map[int]bool, vec, code []bigint.Int, n int, tag string) ([]bigint.Int, map[[2]int]bool, error) {
 	lay := c.lay
 	rank := p.ID()
 
@@ -147,203 +202,7 @@ func (c *Coder) RecoverData(p *machine.Proc, ev []machine.FaultEvent, ctx *Ctx) 
 		switch {
 		case f.Proc < lay.P:
 			col := f.Proc / lay.GPrime
-			victimRows[col] = append(victimRows[col], f.Proc%lay.GPrime)
-		case f.Proc < lay.P+lay.F*lay.Cols():
-			idx := f.Proc - lay.P
-			deadCode[[2]int{idx / lay.Cols(), idx % lay.Cols()}] = true
-		}
-	}
-	cols := make([]int, 0, len(victimRows))
-	for col := range victimRows {
-		sort.Ints(victimRows[col])
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-
-	for _, j := range cols {
-		dead := victimRows[j]
-		alive := complement(lay.GPrime, dead)
-		var codeRows []int
-		for i := 0; i < lay.F && len(codeRows) < len(dead); i++ {
-			if !deadCode[[2]int{i, j}] {
-				codeRows = append(codeRows, i)
-			}
-		}
-		if len(codeRows) < len(dead) {
-			return fmt.Errorf("ftengine: column %d lost %d workers with only %d live code rows", j, len(dead), len(codeRows))
-		}
-		leader := lay.Worker(dead[0], j)
-		amLeader := rank == leader
-		inColumn := rank < lay.P && rank/lay.GPrime == j
-
-		// Residual reduces: Σ_{alive r} η_i^r·x_r to the leader, plus the
-		// codeword from the code processor; leader computes residuals.
-		var residuals [][]bigint.Int
-		for idx, i := range codeRows {
-			root := leader
-			group := c.columnGroupWithRoot(j, alive, root)
-			tag := fmt.Sprintf("rec1/%d/%d", i, j)
-			participates := amLeader || (inColumn && containsInt(alive, rank%lay.GPrime))
-			if participates {
-				var mine machine.Ints
-				var weight int64
-				if amLeader {
-					mine = zeroVec(c.dataLen)
-				} else {
-					mine = machine.Ints(ctx.Data)
-					weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-				}
-				got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
-				if err != nil {
-					return err
-				}
-				if amLeader {
-					residuals = append(residuals, got)
-				}
-			}
-			codeProc := lay.LinearCode(i, j)
-			if rank == codeProc {
-				if err := p.Send(leader, tag+"/cw", machine.Ints(ctx.Code)); err != nil {
-					return err
-				}
-			}
-			if amLeader {
-				cw, err := p.RecvInts(codeProc, tag+"/cw")
-				if err != nil {
-					return err
-				}
-				for t := range residuals[idx] {
-					residuals[idx][t] = cw[t].Sub(residuals[idx][t])
-				}
-				p.Work(int64(len(cw)))
-			}
-		}
-
-		// Leader solves the Vandermonde minor and distributes the shards.
-		if amLeader {
-			shares, err := c.decode(p, codeRows, dead, residuals)
-			if err != nil {
-				return err
-			}
-			for vi, r := range dead {
-				target := lay.Worker(r, j)
-				if target == leader {
-					ctx.Data = shares[vi]
-					continue
-				}
-				if err := p.Send(target, fmt.Sprintf("rec1/share/%d", j), machine.Ints(shares[vi])); err != nil {
-					return err
-				}
-			}
-		} else if inColumn && containsInt(dead, rank%lay.GPrime) {
-			got, err := p.RecvInts(leader, fmt.Sprintf("rec1/share/%d", j))
-			if err != nil {
-				return err
-			}
-			ctx.Data = []bigint.Int(got)
-		}
-	}
-
-	// Re-encode columns whose code processors died (their codewords are
-	// gone); victims' shards are restored by now, so the full column can
-	// re-run code creation for the affected rows.
-	keys := make([][2]int, 0, len(deadCode))
-	for key := range deadCode {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, key := range keys {
-		i, j := key[0], key[1]
-		root := lay.LinearCode(i, j)
-		isWorker := rank < lay.P && rank/lay.GPrime == j
-		if !isWorker && rank != root {
-			continue
-		}
-		group := c.columnGroupWithRoot(j, seq(lay.GPrime), root)
-		tag := fmt.Sprintf("reenc1/%d/%d", i, j)
-		var mine machine.Ints
-		var weight int64
-		if isWorker {
-			mine = machine.Ints(ctx.Data)
-			weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-		} else {
-			mine = zeroVec(c.dataLen)
-		}
-		got, err := collective.WeightedReduce(p, group, len(group)-1, tag, mine, weight)
-		if err != nil {
-			return err
-		}
-		if rank == root {
-			ctx.Code = []bigint.Int(got)
-		}
-	}
-	return nil
-}
-
-// CreateProductCode re-creates the linear code over the mid-step product
-// shares of the live worker columns ("Each BFS step initiates a new code
-// creation process"), protecting the recombination stage. It returns the
-// code processor's product codeword (nil elsewhere).
-func (c *Coder) CreateProductCode(p *machine.Proc, deadCols map[int]bool, prod []bigint.Int, tag string) ([]bigint.Int, error) {
-	if c.code == nil {
-		return nil, nil
-	}
-	lay := c.lay
-	rank := p.ID()
-	var myCode []bigint.Int
-	for i := 0; i < lay.F; i++ {
-		for j := 0; j < lay.Cols(); j++ {
-			if deadCols[j] {
-				continue
-			}
-			root := lay.LinearCode(i, j)
-			isWorker := rank < lay.P && rank/lay.GPrime == j
-			if !isWorker && rank != root {
-				continue
-			}
-			group := c.columnGroupWithRoot(j, seq(lay.GPrime), root)
-			rtag := fmt.Sprintf("%s/code2/%d/%d", tag, i, j)
-			var mine machine.Ints
-			var weight int64
-			if isWorker {
-				mine = machine.Ints(prod)
-				weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
-			} else {
-				mine = zeroVec(c.prodLen)
-			}
-			got, err := collective.WeightedReduce(p, group, len(group)-1, rtag, mine, weight)
-			if err != nil {
-				return nil, err
-			}
-			if rank == root {
-				myCode = []bigint.Int(got)
-			}
-		}
-	}
-	return myCode, nil
-}
-
-// RecoverProducts repairs product shares lost after CreateProductCode for
-// victims in live worker columns, using the freshly created product code.
-// The victim's restored share is returned (others pass through unchanged).
-func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCols map[int]bool, prod, prodCode []bigint.Int, tag string) ([]bigint.Int, []bigint.Int, error) {
-	if len(ev) == 0 || c.code == nil {
-		return prod, prodCode, nil
-	}
-	lay := c.lay
-	rank := p.ID()
-	victimRows := map[int][]int{}
-	deadCode := map[[2]int]bool{}
-	for _, f := range ev {
-		switch {
-		case f.Proc < lay.P:
-			col := f.Proc / lay.GPrime
-			if !deadCols[col] {
+			if !skipCols[col] {
 				victimRows[col] = append(victimRows[col], f.Proc%lay.GPrime)
 			}
 		case f.Proc < lay.P+lay.F*lay.Cols():
@@ -368,24 +227,25 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			}
 		}
 		if len(codeRows) < len(dead) {
-			return nil, nil, fmt.Errorf("ftengine: column %d lost %d product shares with only %d live code rows", j, len(dead), len(codeRows))
+			return nil, nil, fmt.Errorf("ftengine: %w: column %d lost %d workers with only %d live code rows", ErrToleranceExceeded, j, len(dead), len(codeRows))
 		}
 		leader := lay.Worker(dead[0], j)
 		amLeader := rank == leader
 		inColumn := rank < lay.P && rank/lay.GPrime == j
 
+		// Residual reduces: Σ_{alive r} η_i^r·x_r to the leader, plus the
+		// codeword from the code processor; leader computes residuals.
 		var residuals [][]bigint.Int
 		for idx, i := range codeRows {
 			group := c.columnGroupWithRoot(j, alive, leader)
-			rtag := fmt.Sprintf("%s/rec2/%d/%d", tag, i, j)
-			participates := amLeader || (inColumn && containsInt(alive, rank%lay.GPrime))
-			if participates {
+			rtag := fmt.Sprintf("%s/%d/%d", tag, i, j)
+			if amLeader || (inColumn && containsInt(alive, rank%lay.GPrime)) {
 				var mine machine.Ints
 				var weight int64
 				if amLeader {
-					mine = zeroVec(c.prodLen)
+					mine = zeroVec(n)
 				} else {
-					mine = machine.Ints(prod)
+					mine = machine.Ints(vec)
 					weight = c.code.RedundancyRow(i)[rank%lay.GPrime]
 				}
 				got, err := collective.WeightedReduce(p, group, len(group)-1, rtag, mine, weight)
@@ -398,7 +258,7 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			}
 			codeProc := lay.LinearCode(i, j)
 			if rank == codeProc {
-				if err := p.Send(leader, rtag+"/cw", machine.Ints(prodCode)); err != nil {
+				if err := p.Send(leader, rtag+"/cw", machine.Ints(code)); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -413,6 +273,9 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 				p.Work(int64(len(cw)))
 			}
 		}
+
+		// Leader solves the Vandermonde minor and distributes the shards.
+		stag := fmt.Sprintf("%s/share/%d", tag, j)
 		if amLeader {
 			shares, err := c.decode(p, codeRows, dead, residuals)
 			if err != nil {
@@ -421,22 +284,22 @@ func (c *Coder) RecoverProducts(p *machine.Proc, ev []machine.FaultEvent, deadCo
 			for vi, r := range dead {
 				target := lay.Worker(r, j)
 				if target == leader {
-					prod = shares[vi]
+					vec = shares[vi]
 					continue
 				}
-				if err := p.Send(target, fmt.Sprintf("%s/rec2/share/%d", tag, j), machine.Ints(shares[vi])); err != nil {
+				if err := p.Send(target, stag, machine.Ints(shares[vi])); err != nil {
 					return nil, nil, err
 				}
 			}
 		} else if inColumn && containsInt(dead, rank%lay.GPrime) {
-			got, err := p.RecvInts(leader, fmt.Sprintf("%s/rec2/share/%d", tag, j))
+			got, err := p.RecvInts(leader, stag)
 			if err != nil {
 				return nil, nil, err
 			}
-			prod = []bigint.Int(got)
+			vec = []bigint.Int(got)
 		}
 	}
-	return prod, prodCode, nil
+	return vec, deadCode, nil
 }
 
 // decode restores the dead rows' vectors from the residuals of the live

@@ -119,8 +119,8 @@ func tileGroups() [numTiles]collective.Group {
 // workload implements ftengine.Workload for the 15-rank two-algorithm
 // product of two even n×n matrices (n = 2m).
 type workload struct {
-	m      int                     // tile dimension
-	tiles  [numTiles][]bigint.Int  // host-side flattened tiles, for Shard
+	m      int                    // tile dimension
+	tiles  [numTiles][]bigint.Int // host-side flattened tiles, for Shard
 	groups [numTiles]collective.Group
 }
 
@@ -335,7 +335,7 @@ func (w *workload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][]big
 	}
 	for t := 0; t < numStrassen; t++ {
 		if len(slots[numStandard+t]) != m2 {
-			return nil, fmt.Errorf("ftmatmul: dead ranks %v break both algorithm families", dead)
+			return nil, fmt.Errorf("ftmatmul: %w: dead ranks %v break both algorithm families", ftengine.ErrToleranceExceeded, dead)
 		}
 	}
 	mProd := func(t int) []bigint.Int { return slots[numStandard+t-1] } // M1..M7

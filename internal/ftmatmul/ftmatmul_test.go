@@ -1,8 +1,10 @@
 package ftmatmul_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bigint"
@@ -153,8 +155,8 @@ func TestPlainScheme(t *testing.T) {
 			Scheme: ftmatmul.SchemePlain,
 			Faults: []machine.Fault{{Proc: 2, Phase: phase}},
 		})
-		if err == nil {
-			t.Fatalf("plain scheme silently survived a %s fault", phase)
+		if !errors.Is(err, ftengine.ErrToleranceExceeded) {
+			t.Fatalf("plain scheme under a %s fault: err = %v, want ErrToleranceExceeded", phase, err)
 		}
 	}
 }
@@ -177,6 +179,30 @@ func TestReplicatedScheme(t *testing.T) {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 			mustEqual(t, ctx, res.C, want)
+		}
+	}
+}
+
+// TestBothFamiliesLostIsTyped pins the over-budget exit: a compute-phase
+// fault in each algorithm family (a standard-product rank and a Strassen
+// rank) leaves neither decodable, and the error wraps
+// ftengine.ErrToleranceExceeded on both backends.
+func TestBothFamiliesLostIsTyped(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a := randMat(rng, 6, 6, 64)
+	b := randMat(rng, 6, 6, 64)
+	for _, backend := range []machine.Backend{machine.BackendSim, machine.BackendWall} {
+		_, err := ftmatmul.Multiply(a, b, ftmatmul.Options{
+			Machine: machine.Config{Backend: backend},
+			Faults: []machine.Fault{
+				{Proc: 0, Phase: ftengine.PhaseMul},
+				{Proc: 8, Phase: ftengine.PhaseMul},
+			},
+		})
+		if !errors.Is(err, ftengine.ErrToleranceExceeded) {
+			t.Errorf("%s: err = %v, want ErrToleranceExceeded", backend, err)
+		} else if !strings.Contains(err.Error(), "break both algorithm families") {
+			t.Errorf("%s: err = %q, want the both-families exit", backend, err)
 		}
 	}
 }

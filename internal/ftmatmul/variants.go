@@ -111,7 +111,7 @@ func (w *plainWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int]
 	m2 := w.m * w.m
 	for r := 0; r < numStandard; r++ {
 		if len(slots[r]) != m2 {
-			return nil, fmt.Errorf("ftmatmul: plain scheme cannot recover dead ranks %v", dead)
+			return nil, fmt.Errorf("ftmatmul: %w: plain scheme cannot recover dead ranks %v", ftengine.ErrToleranceExceeded, dead)
 		}
 	}
 	return assembleStandard(func(idx int) []bigint.Int { return slots[idx] }), nil
@@ -198,7 +198,7 @@ func (w *replWorkload) Decode(dead []int, slots map[int][]bigint.Int) (map[int][
 	}
 	for idx := 0; idx < numStandard; idx++ {
 		if len(pick(idx)) != m2 {
-			return nil, fmt.Errorf("ftmatmul: both copies of product %d dead (ranks %v)", idx, dead)
+			return nil, fmt.Errorf("ftmatmul: %w: both copies of product %d dead (ranks %v)", ftengine.ErrToleranceExceeded, idx, dead)
 		}
 	}
 	return assembleStandard(pick), nil

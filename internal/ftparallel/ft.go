@@ -253,37 +253,22 @@ func (e *engine) dfsLevel(p *machine.Proc, level int, dfsPath []int, myA, myB []
 	for j := 0; j < 2*k-1; j++ {
 		var evalA, evalB []bigint.Int
 		if p.ID() < lay.P {
-			evalA = applyRowBlocks(p, e.alg.U()[j], myA, k)
-			evalB = applyRowBlocks(p, e.alg.U()[j], myB, k)
+			evalA = parallel.EvalRow(p, e.alg.U()[j], myA, k)
+			evalB = parallel.EvalRow(p, e.alg.U()[j], myB, k)
 		}
 		child, err := e.node(p, level+1, append(dfsPath, j), evalA, evalB, rk)
 		if err != nil {
 			return nil, err
 		}
 		// Accumulate W^T column j into the per-slot coefficient shares.
-		var work int64
 		for slot, share := range child {
 			out, ok := acc[slot]
 			if !ok {
 				out = make([]bigint.Int, 2*lenTotal/lay.P)
 				acc[slot] = out
 			}
-			for i := 0; i < 2*k-1; i++ {
-				c := wNum[i][j]
-				if c == 0 {
-					continue
-				}
-				base := i * lq
-				for s, v := range share {
-					if v.IsZero() {
-						continue
-					}
-					out[base+s] = out[base+s].Add(v.MulInt64(c))
-					work += 2 * wordsOf(v)
-				}
-			}
+			parallel.AccumulateColumn(p, out, wNum, j, share, k, lq)
 		}
-		p.Work(work)
 	}
 	return acc, nil
 }
@@ -312,8 +297,8 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	var selfSlice []bigint.Int
 	if isWorker {
 		for j := 0; j < numCols; j++ {
-			sa := applyRowBlocks(p, e.uExt[j], myA, k)
-			sb := applyRowBlocks(p, e.uExt[j], myB, k)
+			sa := parallel.EvalRow(p, e.uExt[j], myA, k)
+			sb := parallel.EvalRow(p, e.uExt[j], myB, k)
 			payload := concat(sa, sb)
 			dst := lay.ColumnRank(myRow, j)
 			if dst == rank {
@@ -367,7 +352,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 			}
 		}
 		if numCols-len(deadCols) < cols {
-			return nil, fmt.Errorf("ftparallel: %d columns lost, tolerance f=%d exceeded", len(deadCols), lay.F)
+			return nil, fmt.Errorf("ftparallel: %w: %d columns lost, tolerance f=%d exceeded", ftengine.ErrToleranceExceeded, len(deadCols), lay.F)
 		}
 		// Victims also lost their top-level inputs; restore them (linear
 		// code) so later DFS sub-problems can proceed.
@@ -452,11 +437,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 		if err != nil {
 			return nil, err
 		}
-		// The refreshed code rows (second result) are not needed past this
-		// point: interpolation-phase faults on code columns are declared
-		// dead below rather than re-protected. The error is checked — an
-		// undecodable erasure aborts the multiply.
-		childProd, _, err = rk.Coder.RecoverProducts(p, ev2, deadCols, childProd, prodCode, tag)
+		childProd, err = rk.Coder.RecoverProducts(p, ev2, deadCols, childProd, prodCode, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +451,7 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 			}
 		}
 		if numCols-len(deadCols) < cols {
-			return nil, fmt.Errorf("ftparallel: columns lost at interpolation, tolerance exceeded")
+			return nil, fmt.Errorf("ftparallel: %w: columns lost at interpolation, tolerance exceeded", ftengine.ErrToleranceExceeded)
 		}
 		// Restore victims' inputs for subsequent DFS sub-problems.
 		if err := rk.Coder.RecoverData(p, ev2, rk.Ctx); err != nil {
@@ -538,45 +519,23 @@ func (e *engine) bfsStep(p *machine.Proc, dfsPath []int, myA, myB []bigint.Int, 
 	return ftengine.Slots{slot: out}, nil
 }
 
-// fold mirrors parallel's interpolation fold with the surviving set's
-// scaled matrix, then rescales to denLCM so results of DFS sub-problems that
-// lost different columns stay compatible. Only the recomposed value, not each
+// fold runs parallel's interpolation fold with the surviving set's scaled
+// matrix, then rescales to denLCM so results of DFS sub-problems that lost
+// different columns stay compatible. Only the recomposed value, not each
 // redundant digit, is divisible, so Recombine divides denLCM out once.
 func (e *engine) fold(p *machine.Proc, slices [][]bigint.Int, w *erasure.Minor, lenTotal int) []bigint.Int {
-	k := e.alg.K()
 	lay := e.lay
-	childLen := len(slices[0])
-	lq := lenTotal / (k * lay.P)
-	out := make([]bigint.Int, 2*lenTotal/lay.P)
-	var work int64
-	for i := 0; i < 2*k-1; i++ {
-		base := i * lq
-		for s := 0; s < childLen; s++ {
-			acc := out[base+s]
-			for j := 0; j < 2*k-1; j++ {
-				c := w.Rows[i][j]
-				if c == 0 {
-					continue
-				}
-				v := slices[j][s]
-				if v.IsZero() {
-					continue
-				}
-				acc = acc.Add(v.MulInt64(c))
-				work += 2 * wordsOf(v)
-			}
-			out[base+s] = acc
-		}
-	}
+	out := parallel.Fold(p, w.Rows, slices, lenTotal/(e.alg.K()*lay.P), 2*lenTotal/lay.P)
 	if scale := e.denLCM / w.Den; scale != 1 {
+		var work int64
 		for i := range out {
 			if !out[i].IsZero() {
 				out[i] = out[i].MulInt64(scale)
 				work += wordsOf(out[i])
 			}
 		}
+		p.Work(work)
 	}
-	p.Work(work)
 	return out
 }
 
@@ -601,41 +560,14 @@ func pathTag(path []int) string {
 }
 
 // replayEvalPath recomputes a restored worker's evaluation chain from its
-// (recovered) top-level input shares — purely local linear work.
-func (e *engine) replayEvalPath(p *machine.Proc, path []int) ([]bigint.Int, []bigint.Int) {
+// (recovered) top-level input shares — purely local linear work, charged.
+func (e *engine) replayEvalPath(p *machine.Proc, path []int) {
 	a, b := e.plan.InputShares(p.ID())
 	k := e.alg.K()
 	for _, j := range path {
-		a = applyRowBlocks(p, e.alg.U()[j], a, k)
-		b = applyRowBlocks(p, e.alg.U()[j], b, k)
+		a = parallel.EvalRow(p, e.alg.U()[j], a, k)
+		b = parallel.EvalRow(p, e.alg.U()[j], b, k)
 	}
-	return a, b
-}
-
-// applyRowBlocks applies one evaluation-matrix row block-wise to a local
-// share (k contiguous blocks), charging the word work.
-func applyRowBlocks(p *machine.Proc, row []int64, share []bigint.Int, k int) []bigint.Int {
-	lb := len(share) / k
-	out := make([]bigint.Int, lb)
-	var work int64
-	for t := 0; t < lb; t++ {
-		acc := bigint.Zero()
-		for m := 0; m < k; m++ {
-			c := row[m]
-			if c == 0 {
-				continue
-			}
-			v := share[m*lb+t]
-			if v.IsZero() {
-				continue
-			}
-			acc = acc.Add(v.MulInt64(c))
-			work += 2 * wordsOf(v)
-		}
-		out[t] = acc
-	}
-	p.Work(work)
-	return out
 }
 
 func concat(a, b []bigint.Int) []bigint.Int {

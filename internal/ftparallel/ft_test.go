@@ -1,6 +1,7 @@
 package ftparallel
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bigint"
+	"repro/internal/ftengine"
 	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/toom"
@@ -249,20 +251,58 @@ func TestFaultDuringInterpolation(t *testing.T) {
 	}
 }
 
+// TestToleranceExceeded drives every over-budget exit of the coded engine
+// at P=9, f=1 — the input-data repair, the product repair, and both
+// surviving-column checks — and requires each to fail loudly, wrapping
+// ftengine.ErrToleranceExceeded on both backends, with the exit's own text.
 func TestToleranceExceeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	alg := toom.MustNew(2)
 	a, b := randOperand(rng, 1<<13), randOperand(rng, 1<<13)
-	lay, _ := NewLayout(9, 2, 1)
-	_, err := Multiply(a, b, Options{
-		Alg: alg, P: 9, F: 1,
-		Faults: []machine.Fault{
+	lay, err := NewLayout(9, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []struct {
+		name   string
+		faults []machine.Fault
+		msg    string
+	}{
+		{"eval-two-workers", []machine.Fault{
+			{Proc: lay.Worker(0, 1), Phase: PhaseEval},
+			{Proc: lay.Worker(2, 1), Phase: PhaseEval},
+		}, "column 1 lost 2 workers with only 1 live code rows"},
+		{"eval-worker+code", []machine.Fault{
+			{Proc: lay.Worker(0, 1), Phase: PhaseEval},
+			{Proc: lay.LinearCode(0, 1), Phase: PhaseEval},
+		}, "column 1 lost 1 workers with only 0 live code rows"},
+		{"mul-two-columns", []machine.Fault{
 			{Proc: lay.Worker(0, 0), Phase: PhaseMul},
 			{Proc: lay.Worker(0, 1), Phase: PhaseMul},
-		},
-	})
-	if err == nil {
-		t.Fatal("two column faults with f=1 must fail loudly")
+		}, "2 columns lost, tolerance f=1 exceeded"},
+		{"mul-column+interp-poly", []machine.Fault{
+			{Proc: lay.Worker(0, 0), Phase: PhaseMul},
+			{Proc: lay.PolyCode(0, 1), Phase: PhaseInterp},
+		}, "columns lost at interpolation, tolerance exceeded"},
+		{"interp-two-workers", []machine.Fault{
+			{Proc: lay.Worker(0, 1), Phase: PhaseInterp},
+			{Proc: lay.Worker(1, 1), Phase: PhaseInterp},
+		}, "column 1 lost 2 workers with only 1 live code rows"},
+	}
+	for _, pl := range plans {
+		for _, backend := range []machine.Backend{machine.BackendSim, machine.BackendWall} {
+			_, err := Multiply(a, b, Options{
+				Alg: alg, P: 9, F: 1, Faults: pl.faults,
+				Machine: machine.Config{Backend: backend},
+			})
+			if !errors.Is(err, ftengine.ErrToleranceExceeded) {
+				t.Errorf("%s %s: err = %v, want ErrToleranceExceeded", pl.name, backend, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), pl.msg) {
+				t.Errorf("%s %s: err = %q, want it to contain %q", pl.name, backend, err, pl.msg)
+			}
+		}
 	}
 }
 

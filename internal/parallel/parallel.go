@@ -64,23 +64,6 @@ type Options struct {
 	// processors' local stores, enabling peak-memory measurement and the M
 	// capacity check of Lemma 3.1.
 	TrackMemory bool
-	// Hooks interpose on phase boundaries (used by the fault-tolerant
-	// wrappers); zero value is plain Parallel Toom-Cook.
-	Hooks Hooks
-}
-
-// Hooks lets fault-tolerant wrappers interpose on the engine.
-type Hooks struct {
-	// Sync, when set, is invoked at each named phase boundary; it may run
-	// coding/recovery protocols (Section 4.1).
-	Sync func(p *machine.Proc, phase string) error
-}
-
-func (h Hooks) sync(p *machine.Proc, phase string) error {
-	if h.Sync == nil {
-		return nil
-	}
-	return h.Sync(p, phase)
 }
 
 // Result is the outcome of a parallel multiplication.
@@ -127,7 +110,6 @@ type Plan struct {
 	shift  int
 	neg    bool
 	track  bool
-	hooks  Hooks
 
 	sharesA, sharesB [][]bigint.Int
 }
@@ -173,7 +155,6 @@ func NewPlan(a, b bigint.Int, opts Options) (*Plan, error) {
 		shift:  shift,
 		neg:    neg,
 		track:  opts.TrackMemory,
-		hooks:  opts.Hooks,
 	}
 	pl.sharesA = cyclicShares(a, digits, shift, opts.P)
 	pl.sharesB = cyclicShares(b, digits, shift, opts.P)
@@ -283,13 +264,11 @@ func (pl *Plan) Node(p *machine.Proc, group collective.Group, shareA, shareB []b
 	return out, nil
 }
 
-// localEvalRow computes this processor's share of evaluation j: the j-th row
-// of U applied block-wise to the k digit blocks of the local share. The
+// EvalRow computes this processor's share of one evaluation: the matrix
+// row applied block-wise to the k digit blocks of the local share. The
 // cyclic layout makes each block a contiguous local sub-slice.
-func (pl *Plan) localEvalRow(p *machine.Proc, share []bigint.Int, j int) []bigint.Int {
-	k := pl.k
+func EvalRow(p *machine.Proc, row []int64, share []bigint.Int, k int) []bigint.Int {
 	lb := len(share) / k
-	row := pl.alg.U()[j]
 	out := make([]bigint.Int, lb)
 	var work int64
 	for t := 0; t < lb; t++ {
@@ -312,30 +291,29 @@ func (pl *Plan) localEvalRow(p *machine.Proc, share []bigint.Int, j int) []bigin
 	return out
 }
 
-// fold applies the scaled interpolation and coefficient folding locally:
-// given this processor's aligned slices of the 2k-1 child product vectors
-// (each slice covering the offset class s ≡ me (mod g), listed low to high),
-// it computes the processor's share of the parent product vector:
+// Fold applies the scaled interpolation matrix w and coefficient folding
+// locally: given this processor's aligned slices of the 2k-1 child product
+// vectors (each slice covering the offset class s ≡ me (mod g), listed low
+// to high), it computes the processor's share, of length outLen, of the
+// parent product vector:
 //
-//	PV[t] = Σ_i c̄_i[t − i·len/k],  c̄_i[s] = Σ_j wNum[i][j]·PC_j[s].
+//	PV[t] = Σ_i c̄_i[t − i·len/k],  c̄_i[s] = Σ_j w[i][j]·PC_j[s],
 //
-// Both indices stay in the processor's own offset class because len/k ≡ 0
+// where lq = len/(k·g) is the block offset step in class-local units. Both
+// indices stay in the processor's own offset class because len/k ≡ 0
 // (mod g) — interpolation costs no communication beyond the slice exchange.
-func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []bigint.Int {
-	k := pl.k
-	wNum, _ := pl.alg.WScaled()
-	childLen := len(slices[0]) // entries per class of one child product
-	lq := lenTotal / (k * g)   // block offset step in class-local units
-	outLen := 2 * lenTotal / g
+func Fold(p *machine.Proc, w [][]int64, slices [][]bigint.Int, lq, outLen int) []bigint.Int {
+	n := len(slices) // 2k-1 coefficients and child products
+	childLen := len(slices[0])
 	out := make([]bigint.Int, outLen)
 	var work int64
-	for i := 0; i < 2*k-1; i++ {
+	for i := 0; i < n; i++ {
 		base := i * lq
 		for s := 0; s < childLen; s++ {
 			// c̄_i[s] folded into position base + s.
 			acc := out[base+s]
-			for j := 0; j < 2*k-1; j++ {
-				c := wNum[i][j]
+			for j := 0; j < n; j++ {
+				c := w[i][j]
 				if c == 0 {
 					continue
 				}
@@ -358,6 +336,29 @@ func (pl *Plan) fold(p *machine.Proc, slices [][]bigint.Int, lenTotal, g int) []
 	return out
 }
 
+// AccumulateColumn folds child product j of a DFS step into the parent's
+// coefficient shares, out[i·lq + s] += w[i][j]·child[s] for each of the
+// 2k-1 coefficients i: the sequential form of Fold, one child at a time.
+func AccumulateColumn(p *machine.Proc, out []bigint.Int, w [][]int64, j int, child []bigint.Int, k, lq int) {
+	var work int64
+	for i := 0; i < 2*k-1; i++ {
+		c := w[i][j]
+		if c == 0 {
+			continue
+		}
+		base := i * lq
+		for s := 0; s < len(child); s++ {
+			v := child[s]
+			if v.IsZero() {
+				continue
+			}
+			out[base+s] = out[base+s].Add(v.MulInt64(c))
+			work += 2 * wordsOf(v)
+		}
+	}
+	p.Work(work)
+}
+
 // dfsStep solves the 2k-1 sub-problems sequentially on the whole group:
 // evaluation, recursion and interpolation are all local (Section 3: "a DFS
 // step does not involve communication at all").
@@ -367,37 +368,15 @@ func (pl *Plan) dfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	wNum, _ := pl.alg.WScaled()
 	lq := lenTotal / (k * g)
 	out := make([]bigint.Int, 2*lenTotal/g)
-	for i := range out {
-		out[i] = bigint.Zero()
-	}
 	for j := 0; j < 2*k-1; j++ {
-		if err := pl.hooks.sync(p, fmt.Sprintf("%s/dfs%d", path, j)); err != nil {
-			return nil, err
-		}
-		evalA := pl.localEvalRow(p, shareA, j)
-		evalB := pl.localEvalRow(p, shareB, j)
+		evalA := EvalRow(p, pl.alg.U()[j], shareA, k)
+		evalB := EvalRow(p, pl.alg.U()[j], shareB, k)
 		child, err := pl.Node(p, group, evalA, evalB, level+1, fmt.Sprintf("%s.%d", path, j))
 		if err != nil {
 			return nil, err
 		}
 		// Accumulate W^T column j into all coefficient positions.
-		var work int64
-		for i := 0; i < 2*k-1; i++ {
-			c := wNum[i][j]
-			if c == 0 {
-				continue
-			}
-			base := i * lq
-			for s := 0; s < len(child); s++ {
-				v := child[s]
-				if v.IsZero() {
-					continue
-				}
-				out[base+s] = out[base+s].Add(v.MulInt64(c))
-				work += 2 * wordsOf(v)
-			}
-		}
-		p.Work(work)
+		AccumulateColumn(p, out, wNum, j, child, k, lq)
 	}
 	return out, nil
 }
@@ -418,17 +397,13 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 		rowGroup[c] = group[row+c*gPrime]
 	}
 
-	if err := pl.hooks.sync(p, path+"/eval"); err != nil {
-		return nil, err
-	}
-
 	// Evaluation + downward redistribution: my slice of evaluation j goes
 	// to the row-mate in column j.
 	outA := make([]machine.Ints, cols)
 	outB := make([]machine.Ints, cols)
 	for j := 0; j < cols; j++ {
-		outA[j] = machine.Ints(pl.localEvalRow(p, shareA, j))
-		outB[j] = machine.Ints(pl.localEvalRow(p, shareB, j))
+		outA[j] = machine.Ints(EvalRow(p, pl.alg.U()[j], shareA, k))
+		outB[j] = machine.Ints(EvalRow(p, pl.alg.U()[j], shareB, k))
 	}
 	inA, err := collective.Exchange(p, rowGroup, path+"/xa", outA)
 	if err != nil {
@@ -455,18 +430,11 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	for r := 0; r < gPrime; r++ {
 		colGroup[r] = group[r+col*gPrime]
 	}
-	if err := pl.hooks.sync(p, path+"/mul"); err != nil {
-		return nil, err
-	}
 	child, err := pl.Node(p, colGroup, childA, childB, level+1, fmt.Sprintf("%s.%d", path, col))
 	if err != nil {
 		return nil, err
 	}
 	p.Mark(fmt.Sprintf("mul@%d", level))
-
-	if err := pl.hooks.sync(p, path+"/interp"); err != nil {
-		return nil, err
-	}
 
 	// Upward redistribution (reverse of the downward one): my share of
 	// child product entries splits into 2k-1 offset classes mod g; class
@@ -487,7 +455,8 @@ func (pl *Plan) bfsStep(p *machine.Proc, group collective.Group, shareA, shareB 
 	for j := 0; j < cols; j++ {
 		slices[j] = []bigint.Int(inUp[j])
 	}
-	out := pl.fold(p, slices, lenTotal, g)
+	wNum, _ := pl.alg.WScaled()
+	out := Fold(p, wNum, slices, lenTotal/(k*g), 2*lenTotal/g)
 	p.Mark(fmt.Sprintf("interp@%d", level))
 	return out, nil
 }
