@@ -41,7 +41,7 @@ bench:
 
 # Regenerate the committed benchmark snapshot for the current PR (the
 # BENCH_PR*.json trajectory is append-only; see cmd/benchjson).
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR14.json
 benchjson:
 	$(GO) run ./cmd/benchjson -count 3 -out $(BENCH_OUT)
 
@@ -83,14 +83,18 @@ matsmoke:
 	$(GO) run ./cmd/experiments -algo matmul -backend sim
 	$(GO) run ./cmd/experiments -algo matmul -backend wall
 
-# Short fuzz pass over the bigint kernels (seed corpus always runs in `make test`).
+# Short fuzz pass over the bigint kernels and the counted Toom kernel, which
+# FuzzToomMul checks against math/big and the reference recursion's Stats
+# (seed corpora always run in `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
 	$(GO) test -run '^$$' -fuzz FuzzIntArith -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzToomMul -fuzztime 10s ./internal/toom
 
-# The 10-second smoke slice of `fuzz` that CI runs on every push.
+# The 10-second smoke slices of `fuzz` that CI runs on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNatMul -fuzztime 10s ./internal/bigint
+	$(GO) test -run '^$$' -fuzz FuzzToomMul -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
 ci: build test vet race fuzz-smoke wallsmoke matsmoke examples lint

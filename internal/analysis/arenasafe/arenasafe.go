@@ -10,9 +10,9 @@
 //   - every mark() result must feed a matching release() on every path, and
 //     release() must only ever be given a value produced by mark();
 //   - ensure() may only run while the arena is empty, so it must precede any
-//     alloc() on the same arena in the function;
-//   - a slice produced by alloc() must not escape through a return — after
-//     putArena the backing slab is reused by the next renter.
+//     alloc() or reserve() on the same arena in the function;
+//   - a slice produced by alloc() or reserve() must not escape through a
+//     return — after putArena the backing slab is reused by the next renter.
 //
 // Since PR 3 the pairing checks are flow-sensitive: each arena's and each
 // mark's lifecycle runs through the framework's CFG + dataflow protocol
@@ -121,10 +121,10 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		}
 		if recv := framework.RecvTypeName(pass.Info, call); recv == "arena" {
 			callee := framework.CalleeIdent(call)
-			switch callee.Name {
-			case "mark":
+			switch {
+			case callee.Name == "mark":
 				marks[obj] = newLifecycle(call.Pos(), "mark")
-			case "alloc":
+			case framework.IsArenaAlloc(callee.Name):
 				allocVars[obj] = call.Pos()
 			}
 		}
@@ -210,21 +210,21 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if lc := arenas[recvObj]; lc != nil {
 				lc.place(defers, closures, n.Pos(), framework.ProtoUse, callee.Name)
 			}
-			switch callee.Name {
-			case "alloc":
+			switch {
+			case framework.IsArenaAlloc(callee.Name):
 				if recvObj != nil {
 					if first, ok := firstAlloc[recvObj]; !ok || n.Pos() < first {
 						firstAlloc[recvObj] = n.Pos()
 					}
 				}
-			case "ensure":
+			case callee.Name == "ensure":
 				if recvObj != nil {
 					if first, ok := firstAlloc[recvObj]; ok && first < n.Pos() {
 						pass.Reportf(n.Pos(), "ensure() called with outstanding allocations: alloc() on the same arena at %s precedes it (ensure must run on an empty arena)",
 							pass.Fset.Position(first))
 					}
 				}
-			case "release":
+			case callee.Name == "release":
 				if len(n.Args) == 1 {
 					id, ok := ast.Unparen(n.Args[0]).(*ast.Ident)
 					if !ok {

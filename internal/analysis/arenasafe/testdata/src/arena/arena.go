@@ -14,6 +14,8 @@ func (a *arena) release(m int)   { a.off = m }
 func (a *arena) alloc(n int) nat { return make(nat, n) }
 func (a *arena) ensure(n int)    {}
 
+func (a *arena) reserve(n int) nat { return make(nat, 0, n) }
+
 func getArena() *arena  { return new(arena) }
 func putArena(a *arena) {}
 
@@ -76,6 +78,22 @@ func escape(n int) nat {
 	ar := getArena()
 	defer putArena(ar)
 	z := ar.alloc(n)
+	return z // want "escapes via return"
+}
+
+// reserve hands out slab memory like alloc: it too must follow ensure and
+// must not escape.
+func ensureAfterReserve(n int) {
+	ar := getArena()
+	defer putArena(ar)
+	_ = ar.reserve(8)
+	ar.ensure(n) // want "outstanding allocations"
+}
+
+func escapeReserved(n int) nat {
+	ar := getArena()
+	defer putArena(ar)
+	z := ar.reserve(n)
 	return z // want "escapes via return"
 }
 

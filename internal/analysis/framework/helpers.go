@@ -136,6 +136,11 @@ func (r DeferRanges) CallAt(pos token.Pos) (token.Pos, bool) {
 	return r[best].CallPos, true
 }
 
+// IsArenaAlloc reports whether name is an arena method that hands out slab
+// memory: alloc (zeroed) or reserve (uncleared capacity). The arena
+// analyzers treat the two alike.
+func IsArenaAlloc(name string) bool { return name == "alloc" || name == "reserve" }
+
 // PathHasSegment reports whether an import path contains seg as a complete
 // path segment ("repro/internal/toom" has segment "toom" but not "too").
 func PathHasSegment(path, seg string) bool {

@@ -517,7 +517,7 @@ func (s *Summaries) computeOwnership(n *CGNode, sum *Summary, sig *types.Signatu
 						if callee.Name == "Release" && NamedTypeName(obj.Type()) == "Acc" {
 							kind = ProtoRelease
 						}
-						if callee.Name == "alloc" && NamedTypeName(obj.Type()) == "arena" {
+						if IsArenaAlloc(callee.Name) && NamedTypeName(obj.Type()) == "arena" {
 							sum.AllocsArenaParam = true
 						}
 						place(ps, call.Pos(), kind, callee.Name)

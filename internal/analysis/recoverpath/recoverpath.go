@@ -143,7 +143,7 @@ func checkHandler(pass *framework.Pass, fd *ast.FuncDecl) {
 			// the faulty evaluation path — may still hold allocations on
 			// that arena.
 			if recv := framework.RecvTypeName(pass.Info, n); recv == "arena" {
-				if id := framework.CalleeIdent(n); id != nil && id.Name == "alloc" {
+				if id := framework.CalleeIdent(n); id != nil && framework.IsArenaAlloc(id.Name) {
 					if obj := framework.ReceiverObject(pass.Info, n); obj != nil && isParam(fd, pass, obj) {
 						pass.Reportf(n.Pos(), "recovery handler %s allocates from an arena the faulty path may still hold: rent a fresh arena for repair scratch", fd.Name.Name)
 					}

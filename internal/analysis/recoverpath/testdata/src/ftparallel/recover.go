@@ -25,7 +25,8 @@ type FaultEvent struct{ P int }
 
 type arena struct{ off int }
 
-func (a *arena) alloc(n int) []Int { return make([]Int, n) }
+func (a *arena) alloc(n int) []Int   { return make([]Int, n) }
+func (a *arena) reserve(n int) []Int { return make([]Int, 0, n) }
 
 func getArena() *arena  { return new(arena) }
 func putArena(a *arena) {}
@@ -117,12 +118,24 @@ func arenaHandler(ev []FaultEvent, a *arena) []Int {
 	return a.alloc(len(ev)) // want "arena the faulty path may still hold"
 }
 
+// reserveHandler takes uncleared scratch from the same caller-held arena.
+func reserveHandler(ev []FaultEvent, a *arena) []Int {
+	return a.reserve(len(ev)) // want "arena the faulty path may still hold"
+}
+
 // arenaViaHelper does the same one call away.
 func arenaViaHelper(ev []FaultEvent, a *arena) {
 	scratch(a, len(ev)) // want "passes its caller's arena"
 }
 
 func scratch(a *arena, n int) { _ = a.alloc(n) }
+
+// reserveViaHelper reaches reserve through a helper's summary.
+func reserveViaHelper(ev []FaultEvent, a *arena) {
+	reserved(a, len(ev)) // want "passes its caller's arena"
+}
+
+func reserved(a *arena, n int) { _ = a.reserve(n) }
 
 // freshArenaHandler rents its own arena for the repair: allowed.
 func freshArenaHandler(ev []FaultEvent) {

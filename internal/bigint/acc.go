@@ -16,9 +16,97 @@ import (
 // use. Ints passed in are only read; Ints returned by Take are freshly
 // owned and never aliased by later Acc operations.
 type Acc struct {
+	snat     // canonical signed magnitude, owned by the Acc until Take
+	tmp  nat // scratch for word products, never escapes
+}
+
+// snat is a signed magnitude updated in place: the shared core of Acc and
+// of the counted Toom kernel (toom.go), whose snats live in arena scratch
+// with their capacity reserved up front. abs is canonical and neg is false
+// for zero.
+type snat struct {
 	neg bool
-	abs nat // canonical magnitude, owned by the Acc until Take
-	tmp nat // scratch for word products, never escapes
+	abs nat
+}
+
+// negate flips the sign of a nonzero value.
+func (z *snat) negate() {
+	if len(z.abs) > 0 {
+		z.neg = !z.neg
+	}
+}
+
+// add combines a signed magnitude into z in place.
+func (z *snat) add(x nat, xneg bool) {
+	if len(x) == 0 {
+		return
+	}
+	if len(z.abs) == 0 {
+		z.abs = natSet(z.abs, x)
+		z.neg = xneg
+		return
+	}
+	if z.neg == xneg {
+		z.abs = natAddTo(z.abs, z.abs, x)
+		return
+	}
+	switch natCmp(z.abs, x) {
+	case 0:
+		z.neg = false
+		z.abs = z.abs[:0]
+	case 1:
+		z.abs = natSubTo(z.abs, z.abs, x)
+	default:
+		z.abs = natSubTo(z.abs, x, z.abs)
+		z.neg = xneg
+	}
+}
+
+// addMul combines x·c (x signed by xneg) into z in place; the word product
+// lands in *tmp, which must not alias z or x.
+func (z *snat) addMul(x nat, xneg bool, c int64, tmp *nat) {
+	if c == 0 || len(x) == 0 {
+		return
+	}
+	u := absInt64(c)
+	if c < 0 {
+		xneg = !xneg
+	}
+	if u == 1 {
+		z.add(x, xneg)
+		return
+	}
+	*tmp = natMulWordTo(*tmp, x, u)
+	z.add(*tmp, xneg)
+}
+
+// divIfExact divides z by v != 0 in place and reports whether the division
+// was exact. Division by ±1 never touches the limbs.
+func (z *snat) divIfExact(v int64) bool {
+	if len(z.abs) == 0 {
+		return true
+	}
+	if v < 0 {
+		z.neg = !z.neg
+	}
+	u := absInt64(v)
+	if u == 1 {
+		return true
+	}
+	q, r := natDivWordTo(z.abs, z.abs, u)
+	z.abs = q
+	if len(q) == 0 {
+		z.neg = false
+	}
+	return r == 0
+}
+
+// absInt64 returns |v| as a uint64 (exact at MinInt64).
+func absInt64(v int64) uint64 {
+	if v < 0 {
+		return uint64(-(v + 1)) + 1
+	}
+	return uint64(v)
 }
 
 var accPool = sync.Pool{New: func() any { return new(Acc) }}
@@ -46,32 +134,6 @@ func (a *Acc) IsZero() bool { return len(a.abs) == 0 }
 // measure as Int.WordLen, used by the cost model's F accounting.
 func (a *Acc) WordLen() int { return len(a.abs) }
 
-// add combines a signed magnitude into the accumulator in place.
-func (a *Acc) add(x nat, xneg bool) {
-	if len(x) == 0 {
-		return
-	}
-	if len(a.abs) == 0 {
-		a.abs = natSet(a.abs, x)
-		a.neg = xneg
-		return
-	}
-	if a.neg == xneg {
-		a.abs = natAddTo(a.abs, a.abs, x)
-		return
-	}
-	switch natCmp(a.abs, x) {
-	case 0:
-		a.neg = false
-		a.abs = a.abs[:0]
-	case 1:
-		a.abs = natSubTo(a.abs, a.abs, x)
-	default:
-		a.abs = natSubTo(a.abs, x, a.abs)
-		a.neg = xneg
-	}
-}
-
 // Add accumulates a += x.
 func (a *Acc) Add(x Int) { a.add(x.abs, x.neg) }
 
@@ -82,23 +144,7 @@ func (a *Acc) Sub(x Int) { a.add(x.abs, !x.neg) }
 // operation evaluation and interpolation matrices are made of. The word
 // product lands in internal scratch; no Int is materialized.
 func (a *Acc) AddMul(x Int, c int64) {
-	if c == 0 || len(x.abs) == 0 {
-		return
-	}
-	neg := x.neg
-	var u uint64
-	if c < 0 {
-		neg = !neg
-		u = uint64(-(c + 1)) + 1
-	} else {
-		u = uint64(c)
-	}
-	if u == 1 {
-		a.add(x.abs, neg)
-		return
-	}
-	a.tmp = natMulWordTo(a.tmp, x.abs, u)
-	a.add(a.tmp, neg)
+	a.addMul(x.abs, x.neg, c, &a.tmp)
 }
 
 // Shl shifts the accumulator left by s bits in place.
@@ -119,27 +165,13 @@ func (a *Acc) DivExact(v int64) {
 // division was exact. After a false result the accumulator holds an
 // unspecified value and must be Reset. Decoders use it on data that may be
 // corrupted, where an inexact quotient is a finding rather than a logic
-// error.
+// error. Dividing by 1 returns at once and by −1 only negates: Toom-2's
+// interpolation denominator is 1, so its rows skip the division pass.
 func (a *Acc) DivIfExact(v int64) bool {
 	if v == 0 {
 		panic("bigint: Acc.DivExact by zero")
 	}
-	if len(a.abs) == 0 {
-		return true
-	}
-	var u uint64
-	if v < 0 {
-		a.neg = !a.neg
-		u = uint64(-(v + 1)) + 1
-	} else {
-		u = uint64(v)
-	}
-	q, r := natDivWordTo(a.abs, a.abs, u)
-	a.abs = q
-	if len(q) == 0 {
-		a.neg = false
-	}
-	return r == 0
+	return a.divIfExact(v)
 }
 
 // Take returns the accumulated value as an immutable Int and resets the

@@ -199,6 +199,29 @@ func TestAccDivIfExact(t *testing.T) {
 	}
 }
 
+// TestAccDivByUnit checks the ±1 fast path of DivIfExact and DivExact: 1
+// leaves the value as it is, −1 only negates it, and zero stays a canonical
+// (non-negative) zero.
+func TestAccDivByUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, x := range []Int{Random(rng, 700), Random(rng, 64).Neg(), {}} {
+		acc := NewAcc()
+		acc.Add(x)
+		if !acc.DivIfExact(1) || !acc.Value().Equal(x) {
+			t.Fatalf("DivIfExact(1) on %v gave %v", x, acc.Value())
+		}
+		if !acc.DivIfExact(-1) || !acc.Value().Equal(x.Neg()) {
+			t.Fatalf("DivIfExact(-1) on %v gave %v", x, acc.Value())
+		}
+		acc.DivExact(-1)
+		got := acc.Take()
+		if !got.Equal(x) || (x.IsZero() && got.Sign() != 0) {
+			t.Fatalf("DivExact(-1) twice on %v gave %v", x, got)
+		}
+		acc.Release()
+	}
+}
+
 // TestAccTakeOwnership verifies that a taken Int is never mutated by later
 // use of the same (pooled) accumulator — the immutability contract Int
 // promises to the machine simulator.

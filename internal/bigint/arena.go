@@ -2,10 +2,10 @@ package bigint
 
 import "sync"
 
-// arena is a bump allocator for limb scratch. The Karatsuba recursion and
-// the Acc accumulator draw their temporaries from an arena instead of the
-// heap, so a multiplication performs O(1) heap allocations regardless of
-// recursion depth: one slab is rented from a sync.Pool per top-level call,
+// arena is a bump allocator for limb scratch. The kernel ladder (Karatsuba,
+// NTT) and the counted Toom recursion (toom.go) draw their temporaries from
+// an arena instead of the heap, so a multiplication performs O(1) heap
+// allocations regardless of recursion depth: one slab is rented from a sync.Pool per top-level call,
 // carved up with mark/release discipline, and returned when done.
 //
 // An arena is not safe for concurrent use; rent one per goroutine with
@@ -31,6 +31,20 @@ func (a *arena) alloc(n int) nat {
 	z := a.buf[a.off : a.off+n]
 	a.off += n
 	clear(z)
+	return z
+}
+
+// reserve returns an empty limb slice with capacity n and unspecified
+// contents beyond its length, for in-place kernels that write every limb
+// before reading it (the counted Toom recursion's signed nats). Skipping
+// alloc's clear matters there: a node reserves headroom it rarely fills.
+// Like alloc it falls back to the heap when the slab is exhausted.
+func (a *arena) reserve(n int) nat {
+	if a.off+n > len(a.buf) {
+		return make(nat, 0, n)
+	}
+	z := a.buf[a.off : a.off : a.off+n]
+	a.off += n
 	return z
 }
 

@@ -186,18 +186,18 @@ func (x Int) QuoRemWord(w uint64) (Int, uint64) {
 // DivExactInt64 returns x / v, panicking unless the division is exact.
 // Toom-Cook interpolation divides by small constants (2, 3, 6, ...) that are
 // guaranteed to divide exactly; a remainder here indicates a logic error, so
-// it fails loudly rather than returning a corrupted product.
+// it fails loudly rather than returning a corrupted product. Dividing by ±1
+// shares x's limbs (Ints are immutable) instead of running a division pass.
 func (x Int) DivExactInt64(v int64) Int {
 	if v == 0 {
 		panic("bigint: DivExactInt64 by zero")
 	}
-	neg := x.neg
-	var u uint64
-	if v < 0 {
-		neg = !neg
-		u = uint64(-(v + 1)) + 1
-	} else {
-		u = uint64(v)
+	u := absInt64(v)
+	if u == 1 {
+		if v < 0 {
+			return x.Neg()
+		}
+		return x
 	}
 	q, r := natDivWord(x.abs, u)
 	if r != 0 {
@@ -206,7 +206,7 @@ func (x Int) DivExactInt64(v int64) Int {
 	if len(q) == 0 {
 		return Int{}
 	}
-	return Int{neg: neg, abs: q}
+	return Int{neg: x.neg != (v < 0), abs: q}
 }
 
 // Shl returns x << s.

@@ -95,6 +95,30 @@ func TestDivExactInt64(t *testing.T) {
 	}
 }
 
+// TestDivExactInt64ByUnit checks the ±1 fast path: the quotient is x or −x
+// and shares x's limbs (no division pass, no allocation).
+func TestDivExactInt64ByUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, x := range []Int{Random(rng, 500), Random(rng, 64).Neg(), {}} {
+		for _, v := range []int64{1, -1} {
+			want := x
+			if v < 0 {
+				want = x.Neg()
+			}
+			got := x.DivExactInt64(v)
+			if !got.Equal(want) {
+				t.Fatalf("DivExactInt64(%v, %d) = %v, want %v", x, v, got, want)
+			}
+			if !x.IsZero() && &got.abs[0] != &x.abs[0] {
+				t.Errorf("DivExactInt64(x, %d) copied the limbs", v)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { x.DivExactInt64(-1) }); n != 0 {
+			t.Errorf("DivExactInt64(x, -1) allocates %.0f times", n)
+		}
+	}
+}
+
 func TestDivExactPanicsOnInexact(t *testing.T) {
 	defer func() {
 		if recover() == nil {

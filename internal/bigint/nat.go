@@ -228,19 +228,34 @@ func natExtract(x nat, lo, width int) nat {
 	if width <= 0 || lo >= natBitLen(x) {
 		return nil
 	}
-	// Gather the covering limbs directly into one fresh allocation (this is
-	// the digit-splitting hot path: one natExtract per digit per recursion
-	// node, so the shift-then-copy double allocation was measurable).
+	return natExtractTo(make(nat, (width+63)/64), x, lo, width)
+}
+
+// natExtractTo writes bits [lo, lo+width) of x into dst, which must have
+// length >= ceil(width/64) and must not overlap x, and returns the
+// canonical digit. The covering limbs are gathered directly (one pass, no
+// shift-then-copy temporary): this is the digit-splitting hot path, run
+// once per digit per recursion node.
+func natExtractTo(dst, x nat, lo, width int) nat {
+	if width <= 0 || lo >= natBitLen(x) {
+		return dst[:0]
+	}
 	start := lo / 64
 	off := uint(lo % 64)
 	limbs := (width + 63) / 64
-	z := make(nat, limbs)
-	for i := 0; i < limbs && start+i < len(x); i++ {
-		v := x[start+i] >> off
-		if off != 0 && start+i+1 < len(x) {
-			v |= x[start+i+1] << (64 - off)
+	z := dst[:limbs]
+	src := x[start:min(start+limbs+1, len(x))]
+	if off == 0 {
+		clear(z[copy(z, src):])
+	} else {
+		i := 0
+		for ; i+1 < len(src) && i < limbs; i++ {
+			z[i] = src[i]>>off | src[i+1]<<(64-off)
 		}
-		z[i] = v
+		if i < limbs {
+			z[i] = src[i] >> off
+			clear(z[i+1:])
+		}
 	}
 	if rem := width % 64; rem != 0 {
 		z[limbs-1] &= (1 << uint(rem)) - 1

@@ -19,14 +19,14 @@ import (
 // steps distribute is still fully exploited.
 func (alg *Algorithm) MulConcurrent(a, b bigint.Int, depth int) bigint.Int {
 	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbsConcurrent(a.Abs(), b.Abs(), depth)
+	z := alg.mulConcurrentAbs(a.Abs(), b.Abs(), depth)
 	if neg {
 		z = z.Neg()
 	}
 	return z
 }
 
-func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
+func (alg *Algorithm) mulConcurrentAbs(a, b bigint.Int, depth int) bigint.Int {
 	if a.IsZero() || b.IsZero() {
 		return bigint.Zero()
 	}
@@ -34,8 +34,8 @@ func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
 	if b.BitLen() > maxBits {
 		maxBits = b.BitLen()
 	}
-	if depth <= 0 || maxBits <= alg.thresholdBits {
-		return alg.mulAbs(a, b, nil)
+	if depth <= 0 || maxBits <= alg.ThresholdBits() {
+		return alg.Mul(a, b)
 	}
 	k := alg.k
 	shift := (maxBits + k - 1) / k
@@ -51,7 +51,7 @@ func (alg *Algorithm) mulAbsConcurrent(a, b bigint.Int, depth int) bigint.Int {
 		leafPool.Fork(&wg, func() {
 			x, y := ea[i], eb[i]
 			n := x.Sign()*y.Sign() < 0
-			z := alg.mulAbsConcurrent(x.Abs(), y.Abs(), depth-1)
+			z := alg.mulConcurrentAbs(x.Abs(), y.Abs(), depth-1)
 			if n {
 				z = z.Neg()
 			}

@@ -13,41 +13,5 @@ func (alg *Algorithm) Square(a bigint.Int) bigint.Int {
 
 // SquareWithStats is Square with operation counting; stats may be nil.
 func (alg *Algorithm) SquareWithStats(a bigint.Int, stats *Stats) bigint.Int {
-	return alg.squareAbs(a.Abs(), stats)
-}
-
-func (alg *Algorithm) squareAbs(a bigint.Int, stats *Stats) bigint.Int {
-	if a.IsZero() {
-		return bigint.Zero()
-	}
-	maxBits := a.BitLen()
-	if maxBits <= alg.thresholdBits {
-		if stats != nil {
-			stats.BaseMuls++
-			stats.chargeWords(wordsOf(a) * wordsOf(a))
-		}
-		return a.Mul(a)
-	}
-	if stats != nil {
-		stats.RecursiveCalls++
-	}
-	k := alg.k
-	shift := (maxBits + k - 1) / k
-	da := splitDigits(a, k, shift)
-
-	// One evaluation instead of two.
-	ea := alg.EvalDigits(da, stats)
-
-	prods := make([]bigint.Int, 2*k-1)
-	for i := range prods {
-		prods[i] = alg.squareAbs(ea[i].Abs(), stats)
-	}
-
-	coeffs := alg.Interpolate(prods, stats)
-	if stats != nil {
-		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
-		}
-	}
-	return Recompose(coeffs, shift)
+	return alg.run(a, a, true, stats)
 }

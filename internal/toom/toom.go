@@ -10,6 +10,12 @@
 // integer matrix (multiply by d·W^T, then divide exactly by d), so no
 // rational arithmetic touches the big operands on the hot path.
 //
+// The recursion itself is bigint.ToomPlan, the counted kernel over arena
+// scratch: an Algorithm builds its plan once and charges the counts the
+// plan reports. EvalDigits, Interpolate and Recompose remain as the
+// Int-valued single-level primitives for callers that distribute or
+// inspect one level (MulConcurrent, the parallel tiers, the benchmarks).
+//
 // The same block primitives (EvalBlocks, InterpolateBlocks) are reused by
 // the parallel algorithm in internal/parallel, whose BFS steps are exactly
 // these block operations distributed across a processor grid.
@@ -57,23 +63,19 @@ func wordsOf(x bigint.Int) int64 {
 // Algorithm is a ready-to-run Toom-Cook-k multiplier. It is immutable after
 // construction and safe for concurrent use.
 type Algorithm struct {
-	k             int
-	pts           []points.Point
-	u             [][]int64 // (2k-1)×k integer evaluation matrix
-	wNum          [][]int64 // (2k-1)×(2k-1) scaled interpolation numerators
-	wDen          int64     // common denominator: W^T = wNum / wDen
-	thresholdBits int
-	interpSeq     InterpolationSequence // optional Toom-Graph schedule
-	evalPairs     []evalPair            // Zanoni evaluation-reuse pairs (±v)
-	evalSingles   []int                 // rows not covered by a pair
-}
-
-// evalPair marks two evaluation rows at opposite finite points (+v, −v):
-// their values share the even/odd digit sums (E ± O), so both evaluations
-// cost one pass over the digits instead of two — Zanoni's evaluation-reuse
-// optimization mentioned in Section 1.1.
-type evalPair struct {
-	pos, neg int
+	k         int
+	pts       []points.Point
+	u         [][]int64             // (2k-1)×k integer evaluation matrix
+	wNum      [][]int64             // (2k-1)×(2k-1) scaled interpolation numerators
+	wDen      int64                 // common denominator: W^T = wNum / wDen
+	interpSeq InterpolationSequence // optional Toom-Graph schedule
+	// evalPairs holds the {+v, −v} row pairs at opposite finite points:
+	// their values share the even/odd digit sums (E ± O), so both
+	// evaluations cost one pass over the digits instead of two — Zanoni's
+	// evaluation-reuse optimization mentioned in Section 1.1.
+	evalPairs   [][2]int
+	evalSingles []int            // rows not covered by a pair
+	plan        *bigint.ToomPlan // the counted recursion over this form
 }
 
 // InterpolationSequence is an optimized interpolation schedule (a Toom-Graph
@@ -91,6 +93,11 @@ type InterpolationSequence interface {
 func (alg *Algorithm) WithInterpolationSequence(seq InterpolationSequence) *Algorithm {
 	cp := *alg
 	cp.interpSeq = seq
+	var hook func([]bigint.Int) ([]bigint.Int, error)
+	if seq != nil {
+		hook = seq.Apply
+	}
+	cp.plan = alg.plan.WithInterp(hook)
 	return &cp
 }
 
@@ -138,21 +145,24 @@ func NewWithPoints(k int, pts []points.Point) (*Algorithm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("toom: interpolation matrix: %w", err)
 	}
+	if k > bigint.MaxToomK {
+		return nil, fmt.Errorf("toom: k must be <= %d, got %d", bigint.MaxToomK, k)
+	}
 	alg := &Algorithm{
-		k:             k,
-		pts:           append([]points.Point(nil), pts...),
-		u:             u,
-		wNum:          wNum,
-		wDen:          wDen,
-		thresholdBits: DefaultThresholdBits,
+		k:    k,
+		pts:  append([]points.Point(nil), pts...),
+		u:    u,
+		wNum: wNum,
+		wDen: wDen,
 	}
 	alg.evalPairs, alg.evalSingles = detectPairs(pts)
+	alg.plan = bigint.NewToomPlan(k, u, alg.evalPairs, wNum, wDen, DefaultThresholdBits)
 	return alg, nil
 }
 
 // detectPairs finds (+v, −v) finite point pairs for evaluation reuse.
-func detectPairs(pts []points.Point) ([]evalPair, []int) {
-	var pairs []evalPair
+func detectPairs(pts []points.Point) ([][2]int, []int) {
+	var pairs [][2]int
 	used := make([]bool, len(pts))
 	for i := range pts {
 		if used[i] || pts[i].IsInfinity() || pts[i].X.IsZero() {
@@ -163,7 +173,7 @@ func detectPairs(pts []points.Point) ([]evalPair, []int) {
 				continue
 			}
 			if pts[i].H.Equal(pts[j].H) && pts[i].X.Equal(pts[j].X.Neg()) {
-				pairs = append(pairs, evalPair{pos: i, neg: j})
+				pairs = append(pairs, [2]int{i, j})
 				used[i], used[j] = true, true
 				break
 			}
@@ -187,6 +197,7 @@ func (alg *Algorithm) WithoutEvalReuse() *Algorithm {
 	for i := range cp.evalSingles {
 		cp.evalSingles[i] = i
 	}
+	cp.plan = alg.plan.WithPairs(nil)
 	return &cp
 }
 
@@ -202,7 +213,7 @@ func (alg *Algorithm) Points() []points.Point {
 func (alg *Algorithm) NumProducts() int { return 2*alg.k - 1 }
 
 // ThresholdBits returns the base-case threshold in bits.
-func (alg *Algorithm) ThresholdBits() int { return alg.thresholdBits }
+func (alg *Algorithm) ThresholdBits() int { return alg.plan.ThresholdBits() }
 
 // WithThreshold returns a copy of alg with a different base-case threshold
 // (minimum 64 bits, so the recursion always terminates).
@@ -211,7 +222,7 @@ func (alg *Algorithm) WithThreshold(bits int) *Algorithm {
 		bits = 64
 	}
 	cp := *alg
-	cp.thresholdBits = bits
+	cp.plan = alg.plan.WithThreshold(bits)
 	return &cp
 }
 
@@ -222,71 +233,21 @@ func (alg *Algorithm) Mul(a, b bigint.Int) bigint.Int {
 
 // MulWithStats is Mul with operation counting; stats may be nil.
 func (alg *Algorithm) MulWithStats(a, b bigint.Int, stats *Stats) bigint.Int {
-	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbs(a.Abs(), b.Abs(), stats)
-	if neg {
-		z = z.Neg()
-	}
-	return z
+	return alg.run(a, b, false, stats)
 }
 
-func (alg *Algorithm) mulAbs(a, b bigint.Int, stats *Stats) bigint.Int {
-	if a.IsZero() || b.IsZero() {
-		return bigint.Zero()
+// run multiplies through the plan and charges its counts to stats.
+func (alg *Algorithm) run(a, b bigint.Int, square bool, stats *Stats) bigint.Int {
+	if stats == nil {
+		return alg.plan.Mul(a, b, square, nil)
 	}
-	maxBits := a.BitLen()
-	if b.BitLen() > maxBits {
-		maxBits = b.BitLen()
-	}
-	if maxBits <= alg.thresholdBits {
-		if stats != nil {
-			stats.BaseMuls++
-			// Schoolbook word cost of the base case.
-			stats.chargeWords(wordsOf(a) * wordsOf(b))
-		}
-		return a.Mul(b)
-	}
-	if stats != nil {
-		stats.RecursiveCalls++
-	}
-	k := alg.k
-	// Shared base B = 2^shift, k digits each of shift bits (Algorithm 1,
-	// line 4; the +1 rounding of the paper's base definition is the
-	// ceiling here).
-	shift := (maxBits + k - 1) / k
-
-	da := splitDigits(a, k, shift)
-	db := splitDigits(b, k, shift)
-
-	// Evaluation: a' = U·ā, b' = V·b̄ (lines 6-7).
-	ea := alg.EvalDigits(da, stats)
-	eb := alg.EvalDigits(db, stats)
-
-	// Pointwise products, recursing on large operands (lines 8-14).
-	prods := make([]bigint.Int, 2*k-1)
-	for i := range prods {
-		prods[i] = alg.mulSigned(ea[i], eb[i], stats)
-	}
-
-	// Interpolation: c̄ = W^T·c' (line 15).
-	coeffs := alg.Interpolate(prods, stats)
-
-	// Recomposition with carries: c = Σ c̄_i·B^i (line 16).
-	if stats != nil {
-		for _, c := range coeffs {
-			stats.chargeWords(wordsOf(c))
-		}
-	}
-	return Recompose(coeffs, shift)
-}
-
-// mulSigned multiplies possibly-negative evaluations via the same recursion.
-func (alg *Algorithm) mulSigned(a, b bigint.Int, stats *Stats) bigint.Int {
-	neg := a.Sign()*b.Sign() < 0
-	z := alg.mulAbs(a.Abs(), b.Abs(), stats)
-	if neg {
-		z = z.Neg()
-	}
+	var c bigint.ToomCounts
+	z := alg.plan.Mul(a, b, square, &c)
+	stats.BaseMuls += c.BaseMuls
+	stats.RecursiveCalls += c.RecursiveCalls
+	stats.Evaluations += c.Evaluations
+	stats.Interpolations += c.Interpolations
+	stats.chargeWords(c.WordOps)
 	return z
 }
 
@@ -309,7 +270,7 @@ func (alg *Algorithm) EvalDigits(digits []bigint.Int, stats *Stats) []bigint.Int
 	// Paired rows (±v): one pass computes the even and odd digit sums E and
 	// O; the two evaluations are E+O and E−O (Zanoni's reuse).
 	for _, pr := range alg.evalPairs {
-		row := alg.u[pr.pos]
+		row := alg.u[pr[0]]
 		var work int64
 		for m, c := range row {
 			if c == 0 || digits[m].IsZero() {
@@ -323,8 +284,8 @@ func (alg *Algorithm) EvalDigits(digits []bigint.Int, stats *Stats) []bigint.Int
 			}
 		}
 		even, odd := evenAcc.Take(), oddAcc.Take()
-		out[pr.pos] = even.Add(odd)
-		out[pr.neg] = even.Sub(odd)
+		out[pr[0]] = even.Add(odd)
+		out[pr[1]] = even.Sub(odd)
 		work += 2 * wordsOf(even)
 		if stats != nil {
 			stats.chargeWords(work)
@@ -439,7 +400,7 @@ func splitDigits(a bigint.Int, k, shift int) []bigint.Int {
 // Σ coeffs[i]·2^{i·shift}. The signed adds perform the carry propagation
 // that Algorithm 1 calls "compute the carry".
 //
-//ftlint:allow costcharge recomposition is charged by the callers: mulAbs charges wordsOf(c) per coefficient before calling, and AssembleFrom runs host-side outside the model
+//ftlint:allow costcharge recomposition is charged by the callers: the parallel leaf charges wordsOf per share digit, MulConcurrent runs uncounted, and AssembleFrom runs host-side outside the model (the counted kernel, bigint.ToomPlan, charges its own recomposition)
 func Recompose(coeffs []bigint.Int, shift int) bigint.Int {
 	acc := bigint.NewAcc()
 	defer acc.Release()
