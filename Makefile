@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test race vet bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
+.PHONY: build test test-cpu race vet bench benchjson benchgate caltune fuzz lint lint-json fuzz-smoke wallsmoke examples matsmoke ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The allocation contracts above GOMAXPROCS=1: the NTT's pool batches, the
+# Toom kernel's arena and header stack, and the pool's own submission must
+# stay allocation-free whether tasks go to workers or run inline.
+test-cpu:
+	$(GO) test -cpu 1,4 ./internal/bigint ./internal/toom ./internal/workpool
 
 # Machine-checked invariants: the twelve ftlint analyzers (arenasafe, accown,
 # poolspawn, natalias, costcharge, chanproto, statsrace, recoverpath,
@@ -41,7 +47,7 @@ bench:
 
 # Regenerate the committed benchmark snapshot for the current PR (the
 # BENCH_PR*.json trajectory is append-only; see cmd/benchjson).
-BENCH_OUT ?= BENCH_PR14.json
+BENCH_OUT ?= BENCH_PR15.json
 benchjson:
 	$(GO) run ./cmd/benchjson -count 3 -out $(BENCH_OUT)
 
@@ -97,4 +103,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzToomMul -fuzztime 10s ./internal/toom
 
 # ci mirrors .github/workflows/ci.yml locally: everything a PR must pass.
-ci: build test vet race fuzz-smoke wallsmoke matsmoke examples lint
+ci: build test test-cpu vet race fuzz-smoke wallsmoke matsmoke examples lint

@@ -62,6 +62,28 @@ func (z *snat) add(x nat, xneg bool) {
 	}
 }
 
+// set2 sets z = x + y (signed by xneg and yneg) in one pass over z's
+// storage, which may be x's or y's at offset 0.
+func (z *snat) set2(x nat, xneg bool, y nat, yneg bool) {
+	switch {
+	case len(y) == 0:
+		z.abs, z.neg = natSet(z.abs, x), xneg && len(x) > 0
+	case len(x) == 0:
+		z.abs, z.neg = natSet(z.abs, y), yneg
+	case xneg == yneg:
+		z.abs, z.neg = natAddTo(z.abs, x, y), xneg
+	default:
+		switch natCmp(x, y) {
+		case 0:
+			z.abs, z.neg = z.abs[:0], false
+		case 1:
+			z.abs, z.neg = natSubTo(z.abs, x, y), xneg
+		default:
+			z.abs, z.neg = natSubTo(z.abs, y, x), yneg
+		}
+	}
+}
+
 // addMul combines x·c (x signed by xneg) into z in place; the word product
 // lands in *tmp, which must not alias z or x.
 func (z *snat) addMul(x nat, xneg bool, c int64, tmp *nat) {

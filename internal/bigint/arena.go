@@ -8,19 +8,31 @@ import "sync"
 // allocations regardless of recursion depth: one slab is rented from a sync.Pool per top-level call,
 // carved up with mark/release discipline, and returned when done.
 //
+// The counted Toom recursion also draws each node's signed-magnitude
+// headers (digits, evaluations, products) from the arena's header stack,
+// under the same mark/release, instead of zeroing fixed-size arrays on
+// every node's stack frame.
+//
 // An arena is not safe for concurrent use; rent one per goroutine with
 // getArena and return it with putArena.
 type arena struct {
-	buf []uint64
-	off int
+	buf  []uint64
+	off  int
+	hdr  []snat // header stack
+	hoff int
+	hmax int // high-water mark of hoff since the arena was rented
 }
 
-// mark returns the current allocation offset; release(mark()) frees every
+// arenaMark is a point in an arena's allocation history: the offsets of
+// both the limb slab and the header stack.
+type arenaMark struct{ limbs, headers int }
+
+// mark returns the current allocation offsets; release(mark()) frees every
 // allocation made in between (sibling recursion branches reuse the space).
-func (a *arena) mark() int { return a.off }
+func (a *arena) mark() arenaMark { return arenaMark{a.off, a.hoff} }
 
 // release rewinds the arena to a previous mark.
-func (a *arena) release(m int) { a.off = m }
+func (a *arena) release(m arenaMark) { a.off, a.hoff = m.limbs, m.headers }
 
 // alloc returns a zeroed length-n limb slice. When the slab is exhausted it
 // falls back to the heap — correctness never depends on ensure's sizing.
@@ -63,11 +75,41 @@ func (a *arena) ensure(n int) {
 	}
 }
 
+// headers returns n snat headers from the header stack, with unspecified
+// contents: the caller sets every header before reading it. An exhausted
+// stack is replaced by a larger one; unlike the limb slab this is safe at
+// any time, because headers handed out earlier keep the old backing array
+// and nothing relies on the stack being contiguous.
+func (a *arena) headers(n int) []snat {
+	if a.hoff+n > len(a.hdr) {
+		a.hdr = make([]snat, max(2*(a.hoff+n), minHeaders))
+	}
+	h := a.hdr[a.hoff : a.hoff+n : a.hoff+n]
+	a.hoff += n
+	a.hmax = max(a.hmax, a.hoff)
+	return h
+}
+
+// ensureHeaders grows the header stack to at least n headers, so a
+// recursion sized up front never takes the growth path in headers.
+func (a *arena) ensureHeaders(n int) {
+	if len(a.hdr) < n {
+		a.hdr = make([]snat, max(n, minHeaders))
+	}
+}
+
+// minHeaders is the smallest header stack an arena grows to (8 KiB): room
+// for 23 Toom-2 levels (a 2^18-bit product takes 10) or 10 Toom-4 levels,
+// so a pooled arena grows its stack once, on its first Toom recursion, not
+// again for a deeper one.
+const minHeaders = 256
+
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 func getArena() *arena { return arenaPool.Get().(*arena) }
 
 func putArena(a *arena) {
-	a.off = 0
+	clear(a.hdr[:a.hmax]) // drop stale headers' references to operands and results
+	a.off, a.hoff, a.hmax = 0, 0, 0
 	arenaPool.Put(a)
 }

@@ -70,7 +70,7 @@ func TestArenaMarkReleaseReusesSpace(t *testing.T) {
 	if y[0] != 0 {
 		t.Fatal("re-allocated arena space was not zeroed")
 	}
-	if got := a.mark(); got != m+16 {
-		t.Fatalf("mark after realloc = %d, want %d", got, m+16)
+	if got := a.mark(); got.limbs != m.limbs+16 {
+		t.Fatalf("mark after realloc = %d, want %d", got.limbs, m.limbs+16)
 	}
 }

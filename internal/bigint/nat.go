@@ -248,13 +248,15 @@ func natExtractTo(dst, x nat, lo, width int) nat {
 	if off == 0 {
 		clear(z[copy(z, src):])
 	} else {
-		i := 0
-		for ; i+1 < len(src) && i < limbs; i++ {
-			z[i] = src[i]>>off | src[i+1]<<(64-off)
+		l := (64 - off) & 63        // off in [1, 63]; the mask lets the shift skip its ≥64 guard
+		n := min(limbs, len(src)-1) // limbs with a next source limb to borrow from
+		zs, cur, next := z[:n], src[:n], src[1:n+1]
+		for i := range zs {
+			zs[i] = cur[i]>>off | next[i]<<l
 		}
-		if i < limbs {
-			z[i] = src[i] >> off
-			clear(z[i+1:])
+		if n < limbs {
+			z[n] = src[n] >> off
+			clear(z[n+1:])
 		}
 	}
 	if rem := width % 64; rem != 0 {

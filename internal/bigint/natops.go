@@ -1,6 +1,9 @@
 package bigint
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Destination-reuse variants of the nat kernels. Each writes its result into
 // dst's backing array when the capacity allows (allocating only on growth)
@@ -36,15 +39,12 @@ func natAddTo(dst, x, y nat) nat {
 	n := len(x) + 1
 	z := natGrow(dst, n)
 	var carry uint64
-	i := 0
-	for ; i < len(y); i++ {
-		var c1, c2 uint64
-		z[i], c1 = bits.Add64(x[i], y[i], 0)
-		z[i], c2 = bits.Add64(z[i], carry, 0)
-		carry = c1 + c2
+	zy, xy := z[:len(y)], x[:len(y)]
+	for i, yi := range y {
+		zy[i], carry = bits.Add64(xy[i], yi, carry)
 	}
-	for ; i < len(x); i++ {
-		z[i], carry = bits.Add64(x[i], carry, 0)
+	for i := len(y); i < len(x); i++ {
+		z[i], carry = bits.Add64(x[i], 0, carry)
 	}
 	z[len(x)] = carry
 	return z.norm()
@@ -55,11 +55,11 @@ func natAddTo(dst, x, y nat) nat {
 func natSubTo(dst, x, y nat) nat {
 	z := natGrow(dst, len(x))
 	var borrow uint64
-	i := 0
-	for ; i < len(y); i++ {
-		z[i], borrow = bits.Sub64(x[i], y[i], borrow)
+	zy, xy := z[:len(y)], x[:len(y)]
+	for i, yi := range y {
+		zy[i], borrow = bits.Sub64(xy[i], yi, borrow)
 	}
-	for ; i < len(x); i++ {
+	for i := len(y); i < len(x); i++ {
 		z[i], borrow = bits.Sub64(x[i], 0, borrow)
 	}
 	if borrow != 0 {
@@ -84,6 +84,76 @@ func natMulWordTo(dst, x nat, w uint64) nat {
 		carry = hi + c
 	}
 	z[len(x)] = carry
+	return z.norm()
+}
+
+// natMulWordLen returns len(x·w) for w >= 1 without forming the product.
+// The lower limbs carry at most w−1 into the top one, so only a top limb
+// whose product lands within w−1 of the word boundary needs that carry
+// computed.
+func natMulWordLen(x nat, w uint64) int {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	hi, lo := bits.Mul64(x[n-1], w)
+	if hi != 0 {
+		return n + 1
+	}
+	if lo <= ^uint64(0)-(w-1) {
+		return n
+	}
+	var carry uint64
+	for _, xi := range x[:n-1] {
+		h, l := bits.Mul64(xi, w)
+		_, c := bits.Add64(l, carry, 0)
+		carry = h + c
+	}
+	if _, c := bits.Add64(lo, carry, 0); c != 0 {
+		return n + 1
+	}
+	return n
+}
+
+// natAddShiftedTo returns z + x·2^s written into z's backing array (z
+// canonical; x must not overlap it). Only the limbs x·2^s covers and its
+// carry are touched, so adding each Toom coefficient once at its offset
+// costs its own length, not the length of the growing result. The array is
+// replaced, contents kept, only when its capacity is too small.
+func natAddShiftedTo(z, x nat, s uint) nat {
+	if len(x) == 0 {
+		return z
+	}
+	q, r := int(s/64), s%64
+	end := q + len(x) // limbs x·2^s reaches, plus the bit shift's spill limb
+	if r != 0 {
+		end++
+	}
+	if n := len(z); end > n {
+		z = slices.Grow(z, end-n)[:end]
+		clear(z[n:])
+	}
+	zs := z[q : q+len(x)]
+	var carry uint64
+	if r == 0 {
+		for j, xi := range x {
+			zs[j], carry = bits.Add64(zs[j], xi, carry)
+		}
+	} else {
+		l := (64 - r) & 63 // r in [1, 63]; the mask lets the shifts skip their ≥64 guard
+		var prev uint64
+		for j, xi := range x {
+			zs[j], carry = bits.Add64(zs[j], xi<<r|prev>>l, carry)
+			prev = xi
+		}
+		z[q+len(x)], carry = bits.Add64(z[q+len(x)], prev>>l, carry)
+	}
+	for i := end; carry != 0 && i < len(z); i++ {
+		z[i], carry = bits.Add64(z[i], 0, carry)
+	}
+	if carry != 0 {
+		z = append(z, carry)
+	}
 	return z.norm()
 }
 

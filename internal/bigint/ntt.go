@@ -198,7 +198,7 @@ func (pr *nttPrime) forward(a []uint64, par *workpool.Pool) {
 			offset := s << (h - st)
 			rotShoup := shoupOf(rot, p)
 			if par != nil && half >= nttParMinHalf {
-				pr.forwardBlockPar(a, offset, half, rot, rotShoup, par)
+				pr.blockPar(a, offset, half, rot, rotShoup, false, par)
 			} else {
 				pr.forwardRange(a, offset, offset+half, half, rot, rotShoup)
 			}
@@ -230,25 +230,39 @@ func (pr *nttPrime) forwardRange(a []uint64, i0, i1, half int, rot, rotShoup uin
 	}
 }
 
-// forwardBlockPar splits one long block's butterfly range across the pool;
-// the chunks share the block's twiddle and stride, so they are independent.
-func (pr *nttPrime) forwardBlockPar(a []uint64, offset, half int, rot, rotShoup uint64, par *workpool.Pool) {
-	var wg sync.WaitGroup
-	chunk := (half + par.Capacity() - 1) / par.Capacity()
-	if chunk < nttParMinHalf/2 {
-		chunk = nttParMinHalf / 2
+// blockPar splits one long block's butterfly range (forward, or inverse
+// when inverse is set) across the pool; the chunks share the block's
+// twiddle and stride, so they are independent.
+func (pr *nttPrime) blockPar(a []uint64, offset, half int, rot, rotShoup uint64, inverse bool, par *workpool.Pool) {
+	chunk := max((half+par.Capacity()-1)/par.Capacity(), nttParMinHalf/2)
+	t := nttBlockTasks.Get().(*nttBlockTask)
+	*t = nttBlockTask{pr: pr, a: a, offset: offset, half: half, chunk: chunk, rot: rot, rotShoup: rotShoup, inverse: inverse}
+	par.Run(t, (half+chunk-1)/chunk)
+	*t = nttBlockTask{}
+	nttBlockTasks.Put(t)
+}
+
+// nttBlockTask is one long block's butterfly range as a pool batch: task i
+// runs the i-th chunk. Batches are recycled through nttBlockTasks, so a
+// split allocates nothing.
+type nttBlockTask struct {
+	pr                  *nttPrime
+	a                   []uint64
+	offset, half, chunk int
+	rot, rotShoup       uint64
+	inverse             bool
+}
+
+var nttBlockTasks = sync.Pool{New: func() any { return new(nttBlockTask) }}
+
+func (t *nttBlockTask) Run(i int) {
+	lo := t.offset + i*t.chunk
+	hi := t.offset + min((i+1)*t.chunk, t.half)
+	if t.inverse {
+		t.pr.inverseRange(t.a, lo, hi, t.half, t.rot, t.rotShoup)
+	} else {
+		t.pr.forwardRange(t.a, lo, hi, t.half, t.rot, t.rotShoup)
 	}
-	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		if hi > half {
-			hi = half
-		}
-		lo, hi := lo, hi
-		par.Fork(&wg, func() {
-			pr.forwardRange(a, offset+lo, offset+hi, half, rot, rotShoup)
-		})
-	}
-	wg.Wait()
 }
 
 // inverse runs the in-place inverse transform (unscaled: the result is N
@@ -264,7 +278,7 @@ func (pr *nttPrime) inverse(a []uint64, par *workpool.Pool) {
 			offset := s << (h - st + 1)
 			irotShoup := shoupOf(irot, pr.p)
 			if par != nil && half >= nttParMinHalf {
-				pr.inverseBlockPar(a, offset, half, irot, irotShoup, par)
+				pr.blockPar(a, offset, half, irot, irotShoup, true, par)
 			} else {
 				pr.inverseRange(a, offset, offset+half, half, irot, irotShoup)
 			}
@@ -290,24 +304,4 @@ func (pr *nttPrime) inverseRange(a []uint64, i0, i1, half int, irot, irotShoup u
 		a[i] = u0
 		a[i+half] = shoupMul(l+twoP-r, irot, irotShoup, p)
 	}
-}
-
-// inverseBlockPar splits one long inverse block's range across the pool.
-func (pr *nttPrime) inverseBlockPar(a []uint64, offset, half int, irot, irotShoup uint64, par *workpool.Pool) {
-	var wg sync.WaitGroup
-	chunk := (half + par.Capacity() - 1) / par.Capacity()
-	if chunk < nttParMinHalf/2 {
-		chunk = nttParMinHalf / 2
-	}
-	for lo := 0; lo < half; lo += chunk {
-		hi := lo + chunk
-		if hi > half {
-			hi = half
-		}
-		lo, hi := lo, hi
-		par.Fork(&wg, func() {
-			pr.inverseRange(a, offset+lo, offset+hi, half, irot, irotShoup)
-		})
-	}
-	wg.Wait()
 }

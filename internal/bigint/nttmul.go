@@ -100,12 +100,11 @@ func nttMulTo(z, x, y nat, ar *arena) {
 
 	pool := nttPool
 	if pool.Capacity() > 1 {
-		var wg sync.WaitGroup
-		for i := range nttPrimes {
-			i := i
-			pool.Fork(&wg, func() { nttWorkProduct(res[i], x, y, &nttPrimes[i]) })
-		}
-		wg.Wait()
+		t := nttProductTasks.Get().(*nttProductTask)
+		*t = nttProductTask{res: res, x: x, y: y}
+		pool.Run(t, len(nttPrimes))
+		*t = nttProductTask{}
+		nttProductTasks.Put(t)
 	} else {
 		work := ar.alloc(n)
 		for i := range nttPrimes {
@@ -119,15 +118,26 @@ func nttMulTo(z, x, y nat, ar *arena) {
 	ar.release(mark)
 }
 
-// nttWorkProduct is one prime's transform task on the worker pool. It rents
-// its own arena for the second transform buffer — the pooled slabs make the
-// rental allocation-free in steady state — and forwards to nttProductInto
-// with the pool enabled for intra-transform stage splitting.
-func nttWorkProduct(dst nat, x, y nat, pr *nttPrime) {
+// nttProductTask is the three primes' transforms as a pool batch: task i
+// computes the product modulo nttPrimes[i] into res[i]. Batches are
+// recycled through nttProductTasks, so the fan-out allocates nothing.
+type nttProductTask struct {
+	res  [3]nat
+	x, y nat
+}
+
+var nttProductTasks = sync.Pool{New: func() any { return new(nttProductTask) }}
+
+// Run is one prime's transform. It rents its own arena for the second
+// transform buffer — the pooled slabs make the rental allocation-free in
+// steady state — and forwards to nttProductInto with the pool enabled for
+// intra-transform stage splitting.
+func (t *nttProductTask) Run(i int) {
+	dst := t.res[i]
 	ar := getArena()
 	ar.ensure(len(dst))
 	work := ar.alloc(len(dst))
-	nttProductInto(dst, work, x, y, pr, nttPool)
+	nttProductInto(dst, work, t.x, t.y, &nttPrimes[i], nttPool)
 	putArena(ar)
 }
 

@@ -167,7 +167,7 @@ func TestMulToLadderBoundary(t *testing.T) {
 }
 
 // TestNTTMulParallel swaps a multi-slot pool into nttPool so the per-prime
-// fan-out (nttWorkProduct) and the intra-stage block splitting run even on a
+// fan-out (nttProductTask) and the intra-stage block splitting run even on a
 // single-CPU host, and cross-checks the product. Run under -race this is the
 // data-race gate for the parallel butterfly paths.
 func TestNTTMulParallel(t *testing.T) {
@@ -181,7 +181,7 @@ func TestNTTMulParallel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(13))
 	// 8200×8200 limbs → N = 2^14 transforms whose first-stage half (2^13)
-	// reaches nttParMinHalf, so forwardBlockPar/inverseBlockPar both engage.
+	// reaches nttParMinHalf, so blockPar engages in both directions.
 	x := randNat(rng, 8200)
 	y := randNat(rng, 8200)
 	got := natToBig(nttMulDirect(x, y))

@@ -1,10 +1,6 @@
 package toom
 
-import (
-	"sync"
-
-	"repro/internal/bigint"
-)
+import "repro/internal/bigint"
 
 // MulConcurrent returns a·b like Mul, but computes the 2k-1 pointwise
 // products of the top `depth` recursion levels in parallel — real host
@@ -44,22 +40,27 @@ func (alg *Algorithm) mulConcurrentAbs(a, b bigint.Int, depth int) bigint.Int {
 	ea := alg.EvalDigits(da, nil)
 	eb := alg.EvalDigits(db, nil)
 
-	prods := make([]bigint.Int, 2*k-1)
-	var wg sync.WaitGroup
-	for i := range prods {
-		i := i
-		leafPool.Fork(&wg, func() {
-			x, y := ea[i], eb[i]
-			n := x.Sign()*y.Sign() < 0
-			z := alg.mulConcurrentAbs(x.Abs(), y.Abs(), depth-1)
-			if n {
-				z = z.Neg()
-			}
-			prods[i] = z
-		})
-	}
-	wg.Wait()
+	lv := &concurrentLevel{alg: alg, ea: ea, eb: eb, prods: make([]bigint.Int, 2*k-1), depth: depth - 1}
+	leafPool.Run(lv, len(lv.prods))
 
-	coeffs := alg.Interpolate(prods, nil)
+	coeffs := alg.Interpolate(lv.prods, nil)
 	return Recompose(coeffs, shift)
+}
+
+// concurrentLevel is one recursion level's pointwise products as a pool
+// batch: task i multiplies the i-th evaluations one level further down.
+type concurrentLevel struct {
+	alg    *Algorithm
+	ea, eb []bigint.Int
+	prods  []bigint.Int
+	depth  int
+}
+
+func (lv *concurrentLevel) Run(i int) {
+	x, y := lv.ea[i], lv.eb[i]
+	z := lv.alg.mulConcurrentAbs(x.Abs(), y.Abs(), lv.depth)
+	if x.Sign()*y.Sign() < 0 {
+		z = z.Neg()
+	}
+	lv.prods[i] = z
 }

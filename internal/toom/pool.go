@@ -10,12 +10,12 @@ import "repro/internal/workpool"
 // so the kernel layer beneath us can share it without an import cycle.
 var leafPool = workpool.Shared()
 
-// PoolStats reports the shared worker pool's telemetry: the slot capacity,
-// the peak number of concurrently live workers, the total workers spawned,
-// and how many tasks ran inline on their submitter. Exposed for tests and
-// the benchmark harness.
-func PoolStats() (capacity int, peak, spawned, inline int64) {
+// PoolStats reports the shared worker pool's telemetry: the worker count,
+// the peak number of concurrently running workers, the tasks handed to a
+// worker, and how many tasks ran inline on their submitter. Exposed for
+// tests and the benchmark harness.
+func PoolStats() (capacity int, peak, handed, inline int64) {
 	p := leafPool
-	peak, spawned, inline = p.Stats()
-	return p.Capacity(), peak, spawned, inline
+	peak, handed, inline = p.Stats()
+	return p.Capacity(), peak, handed, inline
 }

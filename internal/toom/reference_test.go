@@ -175,6 +175,12 @@ func TestKernelMatchesReference(t *testing.T) {
 		"negative":   {bigint.Random(rng, n).Neg(), bigint.Random(rng, n-300)},
 		"both-neg":   {bigint.Random(rng, n).Neg(), bigint.Random(rng, n).Neg()},
 		"balanced":   {bigint.Random(rng, n), bigint.Random(rng, n)},
+		// 9216 = 64·12·12 bits: the top node's digits are word-aligned for
+		// k = 2, 3 and 4 (whole-limb extraction).
+		"aligned": {withTopBit(bigint.Random(rng, aligned), aligned), withTopBit(bigint.Random(rng, aligned), aligned)},
+		// A zero low digit makes the product computed into the
+		// destination (coefficient 0) empty.
+		"zero-low": {bigint.Random(rng, n/2).Shl(n / 2), bigint.Random(rng, n)},
 	}
 	for _, k := range []int{2, 3, 4} {
 		for vname, alg := range kernelVariants(k) {
@@ -185,7 +191,24 @@ func TestKernelMatchesReference(t *testing.T) {
 				checkAgainstReference(t, name, alg, ab[0], ab[1], true)
 			}
 		}
+		// Exactly 2^16 bits, the FT leaf size: word-aligned digits at the
+		// top node for k = 2 and 4.
+		a, b := withTopBit(bigint.Random(rng, 1<<16), 1<<16), withTopBit(bigint.Random(rng, 1<<16), 1<<16)
+		for _, vname := range []string{"default", "toomgraph"} {
+			alg := kernelVariants(k)[vname]
+			checkAgainstReference(t, vname+"/2^16", alg, a, b, false)
+			checkAgainstReference(t, vname+"/2^16", alg, a, b, true)
+		}
 	}
+}
+
+// aligned is a width whose Toom-2, -3 and -4 digits are whole limbs.
+const aligned = 64 * 12 * 12
+
+// withTopBit returns the low bits−1 bits of x plus 2^(bits−1): a value of
+// bit length exactly bits.
+func withTopBit(x bigint.Int, bits int) bigint.Int {
+	return x.Extract(0, bits-1).Add(bigint.One().Shl(uint(bits - 1)))
 }
 
 // FuzzToomMul checks kernel products against math/big and kernel Stats
@@ -199,6 +222,16 @@ func FuzzToomMul(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 97), bytes.Repeat([]byte{0xff}, 301), uint8(0x8a))
 	f.Add(bytes.Repeat([]byte{0x80, 0}, 40), []byte{3}, uint8(0x65))
 	f.Add([]byte{0x12, 0x34, 0x56}, []byte{0x9a, 0xbc}, uint8(0x2e))
+	// Word-aligned widths: 8-byte patterns inflate to 4864 = 64·76 bits, so
+	// the top node's digits are whole limbs (k=2 default; k=4 at the
+	// 64-bit threshold).
+	f.Add(bytes.Repeat([]byte{0xff}, 8), []byte{0x80, 1, 2, 3, 4, 5, 6, 7}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xc3}, 8), bytes.Repeat([]byte{0xff}, 8), uint8(5))
+	// A 1 followed by 1023 zero bytes: every digit but the top one is zero,
+	// so the product computed into the destination is empty (k=3 default;
+	// k=4 with the Toom-Graph schedule, whose coefficient 0 is a fresh Int).
+	f.Add(append([]byte{1}, make([]byte, 1023)...), bytes.Repeat([]byte{0xa5}, 700), uint8(1))
+	f.Add(append([]byte{1}, make([]byte, 1023)...), bytes.Repeat([]byte{0x5a}, 900), uint8(14))
 	variants := map[int]map[string]*Algorithm{}
 	for k := 2; k <= 4; k++ {
 		variants[k] = kernelVariants(k)
@@ -244,22 +277,34 @@ func inflateBytes(b []byte, n int) []byte {
 }
 
 // TestMulAllocs pins the kernel's allocation contract: a 2^16-bit product
-// or square allocates only its result, whatever the recursion depth. The
-// kernel never forks, so this holds at any GOMAXPROCS (go test -cpu 1,4).
+// or square allocates only its result, whatever the recursion depth, the
+// split number, the threshold or the operands' balance. The node headers
+// come from the arena's header stack, sized up front, so its growth path
+// never runs per call. The kernel never forks, so this holds at any
+// GOMAXPROCS (go test -cpu 1,4).
 func TestMulAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled arenas at random")
 	}
 	rng := rand.New(rand.NewSource(142))
 	a, b := bigint.Random(rng, 1<<16), bigint.Random(rng, 1<<16)
-	for _, k := range []int{2, 3} {
-		alg := MustNew(k)
-		var s Stats
-		if got := testing.AllocsPerRun(10, func() { alg.MulWithStats(a, b, &s) }); got > 1 {
-			t.Errorf("k=%d: MulWithStats allocates %.1f times per op, want ≤ 1 (the result)", k, got)
-		}
-		if got := testing.AllocsPerRun(10, func() { alg.Square(a) }); got > 1 {
-			t.Errorf("k=%d: Square allocates %.1f times per op, want ≤ 1 (the result)", k, got)
+	small := bigint.Random(rng, 1<<13) // 1:7 against the 2^16-bit operand
+	for _, k := range []int{2, 3, 4} {
+		for _, thr := range []int{0, 64} {
+			alg := MustNew(k)
+			if thr != 0 {
+				alg = alg.WithThreshold(thr)
+			}
+			var s Stats
+			if got := testing.AllocsPerRun(10, func() { alg.MulWithStats(a, b, &s) }); got > 1 {
+				t.Errorf("k=%d thr=%d: MulWithStats allocates %.1f times per op, want ≤ 1 (the result)", k, thr, got)
+			}
+			if got := testing.AllocsPerRun(10, func() { alg.MulWithStats(small, b, &s) }); got > 1 {
+				t.Errorf("k=%d thr=%d: 1:7 MulWithStats allocates %.1f times per op, want ≤ 1 (the result)", k, thr, got)
+			}
+			if got := testing.AllocsPerRun(10, func() { alg.Square(a) }); got > 1 {
+				t.Errorf("k=%d thr=%d: Square allocates %.1f times per op, want ≤ 1 (the result)", k, thr, got)
+			}
 		}
 	}
 }
